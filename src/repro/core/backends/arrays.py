@@ -25,6 +25,23 @@ import numpy as np
 _GROW = 2  # geometric growth factor
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D array, which it sorts in place.
+
+    ``np.unique`` for the epoch sweeps and parent lookups: that one
+    imports ``numpy.ma`` on its first call (10-13 ms, which a fresh
+    server spent inside its first epoch boundary) and then takes ~10x
+    as long on the 20k-id arrays a sweep sees.
+    """
+    values.sort()
+    if values.size < 2:
+        return values
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class _TypedVector:
     """Growable 1-D numpy array behind a minimal ``list`` protocol."""
 

@@ -42,6 +42,7 @@ from repro.core.backends.arrays import (
     IntVector,
     MaskMap,
     RowMatrix,
+    sorted_unique,
 )
 from repro.core.backends.ckernel import (
     KERN_CAPACITY,
@@ -122,39 +123,45 @@ class _NumpyStateMixin:
 
     def release_vectors(self, txids) -> None:
         mat = self._p_prime
-        idx = np.fromiter(txids, dtype=np.int64)
-        if not idx.size:
-            return
         n = len(mat)
-        bad = (idx < 0) | (idx >= n)
         pending = self._pending
-        if pending is not None:
-            bad |= idx == pending
-        stop = int(np.argmax(bad)) if bad.any() else idx.size
-        head = idx[:stop]
-        if head.size:
-            unique = np.unique(head)
-            released = int(mat.live[unique].sum())
-            if released:
-                mat.arr[unique] = 0.0
-                mat.live[unique] = 0
-                if stop == idx.size:
-                    # The python loop adds to the counter only after
-                    # the full iteration; an error skips the add even
-                    # though the preceding vectors were dropped.
-                    self._released += released
-        if stop != idx.size:
-            # Match the python loop's mutate-as-you-iterate semantics
-            # exactly: releases preceding the offender have committed,
-            # and the error is the one the per-txid loop raises (range
-            # before pending).
-            txid = int(idx[stop])
-            if not 0 <= txid < n:
+        # ``rows`` are the txids preceding the first offender (unknown
+        # or pending), ``offender`` that txid or None: the python loop
+        # mutates as it iterates, so those releases commit before it
+        # raises.
+        if isinstance(txids, range) and txids.step == 1:
+            # A horizon sweep: one contiguous slice, no index array.
+            start, end = txids.start, max(txids.start, txids.stop)
+            stop = start if start < 0 else min(end, max(start, n))
+            if pending is not None and start <= pending < stop:
+                stop = pending
+            rows: "slice | np.ndarray" = slice(start, stop)
+            offender = stop if stop < end else None
+        else:
+            idx = np.fromiter(txids, dtype=np.int64)
+            bad = (idx < 0) | (idx >= n)
+            if pending is not None:
+                bad |= idx == pending
+            stop = int(np.argmax(bad)) if bad.any() else idx.size
+            offender = int(idx[stop]) if stop < idx.size else None
+            rows = sorted_unique(idx[:stop])
+        released = int(mat.live[rows].sum())
+        if released:
+            mat.arr[rows] = 0.0
+            mat.live[rows] = 0
+            if offender is None:
+                # The python loop adds to the counter only after the
+                # full iteration; an error skips the add even though
+                # the preceding vectors were dropped.
+                self._released += released
+        if offender is not None:
+            # The error the per-txid loop raises (range before pending).
+            if not 0 <= offender < n:
                 raise PlacementError(
-                    f"cannot release unknown transaction {txid}"
+                    f"cannot release unknown transaction {offender}"
                 )
             raise PlacementError(
-                f"cannot release pending transaction {txid}"
+                f"cannot release pending transaction {offender}"
             )
 
     def support_stats(self) -> dict[str, Any]:

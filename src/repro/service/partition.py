@@ -218,13 +218,13 @@ class EnginePartition:
         if isinstance(batch, WireBatch):
             # Vectorized over the frame's parent array - no Transaction
             # objects on the wire fast path.
-            import numpy as np
+            from repro.core.backends.arrays import sorted_unique
 
             parents = batch.parents
             foreign = parents[parents < batch.first_txid]
             if not foreign.size:
                 return []
-            unique = np.unique(foreign)
+            unique = sorted_unique(foreign)
             owners = (unique // self.lease_length) % self.n_partitions
             return unique[owners != self.partition_id].tolist()
         first = batch[0].txid

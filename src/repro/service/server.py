@@ -6,48 +6,64 @@ Architecture (single process, single event loop):
   binary frames (:data:`~repro.service.wire.BIN_MAGIC`) or NDJSON - and
   spawn a task per request, so one slow ``place`` does not stall a
   pipelining client's later lines (responses carry the request ``id``).
-- **The sequencer** keys every ``place`` request by its first txid in a
-  reorder buffer. Clients replay disjoint chunks of one global stream
-  (see :mod:`repro.datasets.replay`); whichever order their requests
-  arrive in, only the contiguous run starting at the engine's
-  ``n_placed`` cursor is dispatchable.
-- **The dispatcher** (one task) pops that contiguous run, *coalesces*
-  consecutive requests into a single micro-batch (up to
-  ``max_batch_txs``), and feeds it to
-  :meth:`~repro.service.engine.PlacementEngine.place_batch` - one entry
-  into the fused allocation-free hot path for many small requests. If a
-  merged batch is rejected, it is replayed request-by-request so only
-  the offending request fails (engine validation is atomic, so the
-  retry is exact).
+- **The sequencer and dispatcher** (:mod:`repro.service.sequencer`,
+  shared with the sharded service's workers): ``place`` requests wait
+  in a reorder buffer keyed by first txid; one task pops the contiguous
+  run at the engine's ``n_placed`` cursor, coalesces it into a single
+  micro-batch (up to ``max_batch_txs``) and replays it request by
+  request if the engine rejects it, so only the offender fails.
 - **Shutdown** (``shutdown`` op, SIGTERM, or SIGINT via the CLI) stops
   accepting work, drains every dispatchable request, answers the rest
   with a ``shutdown`` error, writes a checkpoint when a path is
   configured, and only then closes - a restarted server resumes from
   the checkpoint bit-identically.
 
-Placement is CPU-bound Python, so it intentionally runs *on* the event
-loop: a worker thread would serialize on the GIL anyway and add
-handoff latency. Micro-batches keep each blocking stretch short.
+Which traffic rides which path is decided per frame, not per server:
+
+- **Binary ``place`` frames on a kernel-validating engine** (e.g.
+  ``optchain:backend=numpy`` with the compiled kernel, no drift
+  monitor) decode to zero-copy :class:`~repro.service.wire.WireBatch`
+  views, coalesce by array concatenation and enter
+  :meth:`~repro.service.engine.PlacementEngine.place_wire_batch`: no
+  ``Transaction`` object exists between the socket and the C kernel.
+- **Everything else** - NDJSON requests, full-output frames, python
+  backends, drift-monitored engines (the shadow placer reads
+  ``Transaction`` objects), and a vectorized backend whose kernel is
+  unavailable (one ``RuntimeWarning``, then served) - decodes to
+  objects and enters ``place_batch``. A contiguous run mixing both
+  kinds is placed as one object batch. Replies are byte-identical on
+  either path.
+
+Placement intentionally runs *on* the event loop: decode, sequencing
+and the python backends are GIL-bound, so a worker thread would
+serialize anyway and add handoff latency. Micro-batches keep each
+blocking stretch short.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from time import perf_counter
 from typing import Any
 
 from repro.errors import EngineError, ProtocolError
 from repro.obs.metrics import ServiceMetrics, rss_kb, service_families
 from repro.obs.prom import MetricsServer, render_families
 from repro.service.engine import PlacementEngine
+from repro.service.sequencer import (
+    Sequencer,
+    decode_place,
+    failure,
+    warn_if_degraded,
+    wire_path_active,
+)
 from repro.service.wire import (
     BIN_MAGIC,
     KIND_PLACE,
     OPS,
     PROTOCOL_VERSION,
+    WireBatch,
     decode_batch,
-    decode_place_payload,
     encode_error_response,
     encode_response_for,
     op_of_kind,
@@ -56,28 +72,6 @@ from repro.service.wire import (
 from repro.utxo.transaction import Transaction
 
 DEFAULT_PORT = 9171
-
-
-class _Pending:
-    """One enqueued ``place`` request waiting for dispatch."""
-
-    __slots__ = ("txs", "future")
-
-    def __init__(
-        self, txs: list[Transaction], future: "asyncio.Future[dict]"
-    ) -> None:
-        self.txs = txs
-        self.future = future
-
-    def resolve(self, shards: list[int]) -> None:
-        if not self.future.done():
-            self.future.set_result({"ok": True, "shards": shards})
-
-    def fail(self, code: str, error: str) -> None:
-        if not self.future.done():
-            self.future.set_result(
-                {"ok": False, "code": code, "error": error}
-            )
 
 
 class PlacementServer:
@@ -102,7 +96,6 @@ class PlacementServer:
         self._host = host
         self._port = port
         self._max_batch_txs = max_batch_txs
-        self._max_reorder = max_reorder_requests
         self._max_line_bytes = max_line_bytes
         self._checkpoint_path = checkpoint_path
         self._checkpoint_compress = checkpoint_compress
@@ -111,10 +104,9 @@ class PlacementServer:
         # a full compaction. None = always full.
         self._checkpoint_delta_every = checkpoint_delta_every
         self._checkpoints_since_full = 0
-        self._pending: dict[int, _Pending] = {}
         self._server: asyncio.AbstractServer | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._dispatch_event = asyncio.Event()
+        self._degrade_checked = False
         self._stopping = False
         self._stopped = asyncio.Event()
         self._line_tasks: set[asyncio.Task] = set()
@@ -123,6 +115,15 @@ class PlacementServer:
         #: two integer bumps per dispatched micro-batch, bench-gated
         #: under 5% of engine throughput).
         self.metrics = ServiceMetrics()
+        self._sequencer = Sequencer(
+            lambda: engine.n_placed,
+            lambda first, count: list(
+                engine.placer._assignment[first : first + count]
+            ),
+            self.metrics,
+            max_batch_txs=max_batch_txs,
+            max_reorder=max_reorder_requests,
+        )
         self._metrics_server: "MetricsServer | None" = (
             MetricsServer(
                 self._render_metrics,
@@ -169,19 +170,18 @@ class PlacementServer:
             await self._stopped.wait()
             return
         self._stopping = True
-        self._dispatch_event.set()
+        self._sequencer.wakeup.set()
         if self._dispatcher is not None:
             try:
                 await self._dispatcher
             except Exception:  # noqa: BLE001 - a dead dispatcher must
                 # not block the drain/checkpoint sequence below.
                 pass
-        for key in sorted(self._pending):
-            self._pending.pop(key).fail(
-                "shutdown",
-                "server shut down before the txid gap before this "
-                "request was filled",
-            )
+        self._sequencer.fail_pending(
+            "shutdown",
+            "server shut down before the txid gap before this request "
+            "was filled",
+        )
         if self._checkpoint_path is not None:
             self._do_checkpoint(self._checkpoint_path)
         if self._metrics_server is not None:
@@ -523,77 +523,32 @@ class PlacementServer:
         """Binary ``place``: decode here, place locally. The sharded
         coordinator overrides this to route the *raw payload* to the
         owning worker without decoding it."""
-        return await self._place_request(decode_place_payload(payload))
+        wire_arrays = wire_path_active(self._engine)
+        if not wire_arrays and not self._degrade_checked:
+            self._degrade_checked = True
+            warn_if_degraded(self._engine, "server")
+        return await self._place_request(decode_place(payload, wire_arrays))
 
-    async def _place_request(self, txs: list[Transaction]) -> dict:
+    async def _place_request(
+        self, txs: "list[Transaction] | WireBatch"
+    ) -> dict:
         """Sequence one decoded ``place`` batch (both codecs land here)."""
         if self._stopping:
-            return {
-                "ok": False,
-                "code": "shutdown",
-                "error": "server is shutting down",
-            }
+            return failure("shutdown", "server is shutting down")
         if len(txs) > self._max_batch_txs:
             raise ProtocolError(
                 f"batch of {len(txs)} exceeds max_batch_txs="
                 f"{self._max_batch_txs}"
             )
-        first = txs[0].txid
-        if first < self._engine.n_placed:
-            # A range placed *in full* is answered from the recorded
-            # assignments: a client resubmitting after a lost response
-            # (timeout, connection reset) gets the identical shards
-            # back instead of an error. Partial overlap stays an error
-            # - it is a txid-accounting bug, not a retry.
-            if first + len(txs) <= self._engine.n_placed:
-                return {
-                    "ok": True,
-                    "shards": list(
-                        self._engine.placer._assignment[
-                            first : first + len(txs)
-                        ]
-                    ),
-                }
-            raise EngineError(
-                f"transactions from {first} were already placed "
-                f"(next expected: {self._engine.n_placed})"
-            )
-        if first in self._pending:
-            # Likely the same client retrying while its original
-            # request still waits for a txid gap: retryable, the
-            # original will answer (or fail) soon.
-            self.metrics.retry_replies += 1
-            return {
-                "ok": False,
-                "code": "retry",
-                "error": (
-                    f"a request starting at txid {first} is already "
-                    "queued; retry later"
-                ),
-            }
-        if len(self._pending) >= self._max_reorder:
-            self.metrics.overload_replies += 1
-            return {
-                "ok": False,
-                "code": "overload",
-                "error": (
-                    f"reorder buffer full ({self._max_reorder} "
-                    "requests waiting for earlier txids); retry later"
-                ),
-            }
-        future: "asyncio.Future[dict]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending[first] = _Pending(txs, future)
-        self._dispatch_event.set()
-        return await future
+        return await self._sequencer.submit(txs)
 
     # -- the dispatcher ----------------------------------------------------
 
     async def _dispatch_loop(self) -> None:
+        wakeup = self._sequencer.wakeup
         while True:
-            await self._dispatch_event.wait()
-            self._dispatch_event.clear()
+            await wakeup.wait()
+            wakeup.clear()
             await self._dispatch_ready()
             if self._stopping:
                 return
@@ -607,91 +562,20 @@ class PlacementServer:
         at every yield point, which is what keeps mid-backlog
         checkpoints consistent.
         """
-        engine = self._engine
-        pending = self._pending
-        while pending:
-            next_txid = engine.n_placed
-            entry = pending.pop(next_txid, None)
-            if entry is None:
-                # Requests the cursor has passed (their range overlaps
-                # something already placed) can never dispatch: fail
-                # them now instead of leaking reorder slots + hanging
-                # their clients until shutdown.
-                stale = [key for key in pending if key < next_txid]
-                for key in stale:
-                    stale_entry = pending.pop(key)
-                    if key + len(stale_entry.txs) <= next_txid:
-                        # A duplicate the cursor passed while it sat in
-                        # the queue: answer it from the recorded
-                        # assignments, same as an up-front resubmission.
-                        stale_entry.resolve(
-                            list(
-                                engine.placer._assignment[
-                                    key : key + len(stale_entry.txs)
-                                ]
-                            )
-                        )
-                        continue
-                    stale_entry.fail(
-                        "engine",
-                        f"transactions from {key} were already placed "
-                        f"(next expected: {next_txid})",
-                    )
-                if not stale:
-                    return
-                continue
-            group = [entry]
-            batch = list(entry.txs)
-            run_next = next_txid + len(batch)
-            while len(batch) < self._max_batch_txs:
-                follower = pending.pop(run_next, None)
-                if follower is None:
-                    break
-                group.append(follower)
-                batch.extend(follower.txs)
-                run_next += len(follower.txs)
-            try:
-                started = perf_counter()
-                shards = engine.place_batch(batch)
-                self.metrics.record_batch(
-                    len(batch), perf_counter() - started
-                )
-            except EngineError as exc:
-                self.metrics.error_replies += 1
-                if len(group) == 1:
-                    entry.fail("engine", str(exc))
-                    continue
-                # Atomic validation means nothing was placed; replay
-                # one request at a time so only the offender fails
-                # (later requests then fail on the txid gap it left,
-                # which is the honest outcome).
-                for member in group:
-                    try:
-                        started = perf_counter()
-                        shards = engine.place_batch(member.txs)
-                        self.metrics.record_batch(
-                            len(member.txs), perf_counter() - started
-                        )
-                        member.resolve(shards)
-                    except EngineError as member_exc:
-                        self.metrics.error_replies += 1
-                        member.fail("engine", str(member_exc))
-                continue
-            except Exception as exc:  # noqa: BLE001 - a placer bug must
-                # fail these requests, not kill the dispatcher: every
-                # later request (and the shutdown drain) still needs it.
-                for member in group:
-                    member.fail(
-                        "engine",
-                        f"internal error placing batch: {exc!r}",
-                    )
-                continue
-            offset = 0
-            for member in group:
-                count = len(member.txs)
-                member.resolve(shards[offset : offset + count])
-                offset += count
+        sequencer = self._sequencer
+        while True:
+            group = sequencer.take_run()
+            if group is None:
+                return
+            await sequencer.place_run(group, self._place)
             await asyncio.sleep(0)
+
+    async def _place(
+        self, batch: "list[Transaction] | WireBatch", _payloads: list
+    ) -> list[int]:
+        if isinstance(batch, WireBatch):
+            return self._engine.place_wire_batch(batch)
+        return self._engine.place_batch(batch)
 
 
 async def start_server(

@@ -13,9 +13,9 @@ fused placement loop, and checkpoint serialization. Its life cycle:
    buys);
 3. while granted, place contiguous runs from the cursor, resolving
    foreign parents through ``W_ACQUIRE`` and returning mutations
-   through ``W_WRITEBACK``; coalesce consecutive queued requests into
-   one fused micro-batch and replay request-by-request on atomic
-   reject, exactly like the single-process server's dispatcher;
+   through ``W_WRITEBACK``; reorder, coalescing, atomic-reject replay
+   and reply splitting are :mod:`repro.service.sequencer`, the same
+   code the single-process server dispatches through;
 4. on reaching its lease end, export the hot state and ``W_RELEASE``
    the lease; the coordinator grants the next owner.
 
@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import asyncio
 import os
-import warnings
-from time import perf_counter
 from typing import Any
 
-from repro.errors import EngineError, ProtocolError, RetryLaterError
+from repro.errors import EngineError, ProtocolError
 from repro.obs.metrics import ServiceMetrics, rss_kb
 from repro.service import channel as ch
 from repro.service.channel import ChannelClosed, FrameChannel
@@ -47,11 +45,17 @@ from repro.service.partition import (
     decode_parent_states,
     encode_parent_states,
 )
+from repro.service.sequencer import (
+    RunFailed,
+    Sequencer,
+    decode_place,
+    failure,
+    first_txid,
+    warn_if_degraded,
+    wire_path_active,
+)
 from repro.service.wire import (
     WireBatch,
-    concat_wire_batches,
-    decode_place_arrays,
-    decode_place_payload,
     decode_response,
     encode_error_response,
     encode_response_for,
@@ -93,60 +97,6 @@ def build_partition(partition_id: int, spec: dict[str, Any]) -> EnginePartition:
     )
 
 
-def _merge_members(
-    members: "list[list[Transaction] | WireBatch]",
-) -> "list[Transaction] | WireBatch":
-    """Fuse a contiguous run of queued requests into one engine batch.
-
-    All-array members concatenate without touching a Transaction
-    object; a mixed run (an object-path frame - e.g. full-output
-    encoding - coalesced with array frames) falls back to one object
-    list, since the engine takes a batch of exactly one kind.
-    """
-    if len(members) == 1:
-        return members[0]
-    if all(isinstance(member, WireBatch) for member in members):
-        return concat_wire_batches(members)
-    batch: list[Transaction] = []
-    for member in members:
-        if isinstance(member, WireBatch):
-            for payload in member.payloads:
-                batch.extend(decode_place_payload(payload))
-        else:
-            batch.extend(member)
-    return batch
-
-
-class _Queued:
-    """One decoded ``place`` request waiting for the cursor.
-
-    The raw wire payload rides along so the write-ahead journal can
-    record the exact post-routing frame without re-encoding.
-    """
-
-    __slots__ = ("txs", "payload", "future")
-
-    def __init__(
-        self,
-        txs: "list[Transaction] | WireBatch",
-        payload: bytes,
-        future: "asyncio.Future[dict]",
-    ) -> None:
-        self.txs = txs
-        self.payload = payload
-        self.future = future
-
-    def resolve(self, shards: list[int]) -> None:
-        if not self.future.done():
-            self.future.set_result({"ok": True, "shards": shards})
-
-    def fail(self, code: str, error: str) -> None:
-        if not self.future.done():
-            self.future.set_result(
-                {"ok": False, "code": code, "error": error}
-            )
-
-
 class PlacementWorker:
     """The in-process runtime behind one worker process."""
 
@@ -160,48 +110,21 @@ class PlacementWorker:
         checkpoint_compress: bool = False,
     ) -> None:
         self._partition = partition
-        engine = partition.engine
-        # Decided once at startup: with the kernel validator active and
-        # no drift monitor attached, ``place`` frames stay as numpy
-        # array views end to end (wire -> kernel). A drift monitor
-        # needs Transaction objects; deciding here (not per request)
-        # keeps the reorder queue single-minded.
-        self._wire_arrays = bool(
-            getattr(engine, "kernel_validation", False)
-            and engine.drift_monitor is None
-        )
-        if not self._wire_arrays and hasattr(
-            engine._placer, "validation_driver"
-        ):
-            from repro.core.backends.ckernel import (
-                kernel_unavailable_reason,
-            )
-
-            reason = (
-                kernel_unavailable_reason()
-                or "kernel-incompatible strategy configuration"
-            )
-            if engine.drift_monitor is None:
-                warnings.warn(
-                    "vectorized backend without the compiled kernel "
-                    f"({reason}): the worker wire fast path is "
-                    "disabled; requests decode through the Python "
-                    "object path",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        self._max_batch_txs = max_batch_txs
-        self._max_reorder = max_reorder_requests
+        # Decided once at startup (workers attach their drift monitor
+        # before serving): with the kernel validator active and no
+        # drift monitor, ``place`` frames stay numpy array views end to
+        # end (wire -> kernel).
+        self._wire_arrays = wire_path_active(partition.engine)
+        if not self._wire_arrays:
+            warn_if_degraded(partition.engine, "worker")
         self._checkpoint_path = checkpoint_path
         self._checkpoint_compress = checkpoint_compress
         self.channel: "FrameChannel | None" = None
-        self._queue: dict[int, _Queued] = {}
         # Granted from birth when there is nothing to hand off.
         self._granted = partition.n_partitions == 1
         self._paused = False
         self._draining = False
         self._stopping = False
-        self._kick = asyncio.Event()
         self._engine_lock = asyncio.Lock()
         self._stopped = asyncio.Event()
         self._exit = asyncio.Event()
@@ -212,6 +135,14 @@ class PlacementWorker:
         #: Per-partition serving metrics, shipped to the coordinator in
         #: every W_STATS reply (the scrape path).
         self.metrics = ServiceMetrics()
+        self._sequencer = Sequencer(
+            lambda: partition.n_placed,
+            partition.assignment_slice,
+            self.metrics,
+            max_batch_txs=max_batch_txs,
+            max_reorder=max_reorder_requests,
+        )
+        self._kick = self._sequencer.wakeup
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -319,82 +250,20 @@ class PlacementWorker:
 
     async def _handle_place(self, payload: bytes) -> dict:
         if self._stopping or self._draining:
-            return {
-                "ok": False,
-                "code": "shutdown",
-                "error": "worker is shutting down",
-            }
+            return failure("shutdown", "worker is shutting down")
         try:
-            txs: "list[Transaction] | WireBatch | None" = None
-            if self._wire_arrays:
-                # None: the frame uses an encoding the array decoder
-                # does not cover (full outputs) - the object decoder
-                # handles it with identical validation.
-                txs = decode_place_arrays(payload)
-            if txs is None:
-                txs = decode_place_payload(payload)
+            txs = decode_place(payload, self._wire_arrays)
         except ProtocolError as exc:
-            return {"ok": False, "code": "protocol", "error": str(exc)}
-        first = (
-            txs.first_txid
-            if isinstance(txs, WireBatch)
-            else txs[0].txid
-        )
+            return failure("protocol", str(exc))
+        first = first_txid(txs)
         partition = self._partition
         if not partition.owns_txid(first):
-            return {
-                "ok": False,
-                "code": "protocol",
-                "error": (
-                    f"partition {partition.partition_id} does not own "
-                    f"txid {first} (coordinator routing bug)"
-                ),
-            }
-        if first < partition.n_placed:
-            if first + len(txs) <= partition.n_placed:
-                # Exact duplicate of an already-placed range (a client
-                # retry after a lost response): answer from the
-                # assignment record. Identical to the original reply -
-                # resubmission is idempotent.
-                return {
-                    "ok": True,
-                    "shards": partition.assignment_slice(
-                        first, len(txs)
-                    ),
-                }
-            return {
-                "ok": False,
-                "code": "engine",
-                "error": (
-                    f"transactions from {first} were already placed "
-                    f"(next expected: {partition.n_placed})"
-                ),
-            }
-        if first in self._queue:
-            # The original submission is still in flight (the retry
-            # raced it); back off and resubmit - by then the range is
-            # either placed (answered from the record) or failed.
-            self.metrics.retry_replies += 1
-            return {
-                "ok": False,
-                "code": "retry",
-                "error": f"a request starting at txid {first} is "
-                "already queued; retry later",
-            }
-        if len(self._queue) >= self._max_reorder:
-            self.metrics.overload_replies += 1
-            return {
-                "ok": False,
-                "code": "overload",
-                "error": f"reorder buffer full ({self._max_reorder} "
-                "requests waiting for earlier txids)",
-            }
-        future: "asyncio.Future[dict]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._queue[first] = _Queued(txs, payload, future)
-        self._kick.set()
-        return await future
+            return failure(
+                "protocol",
+                f"partition {partition.partition_id} does not own txid "
+                f"{first} (coordinator routing bug)",
+            )
+        return await self._sequencer.submit(txs, payload)
 
     async def _handle_grant(self, payload: bytes) -> dict:
         body = ch.parse_json_payload(payload)
@@ -467,17 +336,15 @@ class PlacementWorker:
                 if self._draining or self._stopping:
                     return
         finally:
-            for key in sorted(self._queue):
-                self._queue.pop(key).fail(
-                    "shutdown",
-                    "worker shut down before the txid gap before "
-                    "this request was filled",
-                )
+            self._sequencer.fail_pending(
+                "shutdown",
+                "worker shut down before the txid gap before this "
+                "request was filled",
+            )
             self._stopped.set()
 
     async def _dispatch_ready(self) -> None:
-        partition = self._partition
-        queue = self._queue
+        sequencer = self._sequencer
         while (
             self._granted and not self._paused and not self._stopping
         ):  # draining still dispatches the contiguous run
@@ -487,118 +354,39 @@ class PlacementWorker:
             # atomic reject, or an import that landed exactly on it),
             # and even when the queue is empty.
             await self._maybe_release_lease()
-            if not self._granted or not queue:
+            if not self._granted:
                 return
-            cursor = partition.n_placed
-            stale = [key for key in queue if key < cursor]
-            for key in stale:
-                entry = queue.pop(key)
-                if key + len(entry.txs) <= cursor:
-                    # A duplicate resubmission whose original placed
-                    # while this copy waited in the reorder buffer:
-                    # answer from the assignment record.
-                    entry.resolve(
-                        partition.assignment_slice(key, len(entry.txs))
-                    )
-                else:
-                    entry.fail(
-                        "engine",
-                        f"transactions from {key} were already placed "
-                        f"(next expected: {cursor})",
-                    )
-            entry = queue.pop(cursor, None)
-            if entry is None:
+            group = sequencer.take_run()
+            if group is None:
                 return
-            group = [entry]
-            segments = [entry.payload]
-            total = len(entry.txs)
-            run_next = cursor + total
-            while total < self._max_batch_txs:
-                follower = queue.pop(run_next, None)
-                if follower is None:
-                    break
-                group.append(follower)
-                segments.append(follower.payload)
-                count = len(follower.txs)
-                run_next += count
-                total += count
-            batch = _merge_members([member.txs for member in group])
             async with self._engine_lock:
-                try:
-                    started = perf_counter()
-                    shards = await self._place_with_remotes(
-                        batch, segments
-                    )
-                    # Includes acquire/writeback round-trips: this is
-                    # the latency a client's batch actually observes
-                    # at this partition.
-                    self.metrics.record_batch(
-                        len(batch), perf_counter() - started
-                    )
-                except RetryLaterError as exc:
-                    # A foreign owner is recovering: nothing placed;
-                    # the identical requests can be resubmitted once
-                    # it is back.
-                    for member in group:
-                        member.fail("retry", str(exc))
-                    continue
-                except EngineError as exc:
-                    self.metrics.error_replies += 1
-                    if len(group) == 1:
-                        entry.fail("engine", str(exc))
-                        continue
-                    # Atomic validation placed nothing; replay one
-                    # request at a time so only the offender fails.
-                    for member in group:
-                        try:
-                            member.resolve(
-                                await self._place_with_remotes(
-                                    member.txs, [member.payload]
-                                )
-                            )
-                        except RetryLaterError as member_exc:
-                            member.fail("retry", str(member_exc))
-                        except EngineError as member_exc:
-                            member.fail("engine", str(member_exc))
-                        except ChannelClosed:
-                            member.fail(
-                                "engine", "coordinator link lost"
-                            )
-                    continue
-                except ChannelClosed:
-                    for member in group:
-                        member.fail("engine", "coordinator link lost")
-                    continue
-                except Exception as exc:  # noqa: BLE001 - a placer bug
-                    # must fail these requests, not kill the worker's
-                    # dispatcher.
-                    for member in group:
-                        member.fail(
-                            "engine",
-                            f"internal error placing batch: {exc!r}",
-                        )
-                    continue
-            offset = 0
-            for member in group:
-                count = len(member.txs)
-                member.resolve(shards[offset : offset + count])
-                offset += count
+                await sequencer.place_run(
+                    group, self._place_with_remotes
+                )
             await asyncio.sleep(0)
+
+    async def _ask_coordinator(self, kind: int, body: dict) -> dict:
+        try:
+            reply = await self.channel.request(kind, ch.json_payload(body))
+        except ChannelClosed:
+            raise RunFailed("engine", "coordinator link lost")
+        return decode_response(*reply)
 
     async def _place_with_remotes(
         self,
         batch: "list[Transaction] | WireBatch",
         segments: "list[bytes] | None" = None,
     ) -> list[int]:
-        """One batch through acquire -> place -> writeback."""
+        """One batch through acquire -> place -> writeback (the
+        sequencer times it round-trips included: the latency a client's
+        batch actually observes at this partition)."""
         partition = self._partition
         needed = partition.parents_needed(batch)
         states: dict[int, dict[str, Any]] = {}
         if needed:
-            kind, payload = await self.channel.request(
-                ch.W_ACQUIRE, ch.json_payload({"txids": needed})
+            response = await self._ask_coordinator(
+                ch.W_ACQUIRE, {"txids": needed}
             )
-            response = decode_response(kind, payload)
             if not response.get("ok"):
                 message = (
                     "cross-partition parent lookup failed: "
@@ -606,8 +394,9 @@ class PlacementWorker:
                 )
                 if response.get("code") == "retry":
                     # The owner is recovering: nothing was placed and
-                    # nothing journaled - the same batch is retryable.
-                    raise RetryLaterError(message)
+                    # nothing journaled - the identical requests can be
+                    # resubmitted once it is back.
+                    raise RunFailed("retry", message)
                 raise EngineError(message)
             states = decode_parent_states(response["states"])
         shards, writebacks = partition.place_batch(
@@ -616,18 +405,15 @@ class PlacementWorker:
         if self.faults is not None:
             self.faults.maybe_kill("place")
         if writebacks:
-            kind, payload = await self.channel.request(
-                ch.W_WRITEBACK, ch.json_payload({"updates": writebacks})
+            # The reply is not inspected. The batch is committed
+            # locally; a failed writeback means an owner is gone or
+            # forked. The coordinator buffers writebacks for a
+            # recovering owner (and degrades the service on a refusal),
+            # so subsequent placements are refused; surfacing an error
+            # here would mis-report this already-placed batch.
+            await self._ask_coordinator(
+                ch.W_WRITEBACK, {"updates": writebacks}
             )
-            response = decode_response(kind, payload)
-            if not response.get("ok"):
-                # The batch is committed locally; a failed writeback
-                # means an owner is gone or forked. The coordinator
-                # buffers writebacks for a recovering owner (and
-                # degrades the service on a refusal), so subsequent
-                # placements are refused; surfacing an error here
-                # would mis-report this already-placed batch.
-                pass
         if self.faults is not None:
             self.faults.maybe_kill("writeback")
         return shards

@@ -221,6 +221,42 @@ class TestErrorParity:
             placer.scorer.release_vectors([1])
         _assert_same_state(python, numpy_)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_release_error_frontier_matches(self, data):
+        """Sweeps with duplicates, unknown txids, a pending transaction
+        and ``range`` inputs (the contiguous-slice path): the releases
+        preceding the first offender commit, the error is the per-txid
+        loop's, and the counter skips its bump on error."""
+        n = data.draw(st.integers(min_value=2, max_value=24))
+        stream = [_tx(0, [])] + [_tx(i, [i - 1]) for i in range(1, n)]
+        python, numpy_ = _pair("optchain", {})
+        for placer in (python, numpy_):
+            placer.place_batch(stream)
+            placer.scorer.release_vectors(range(0, n, 3))
+        if data.draw(st.booleans()):
+            for placer in (python, numpy_):
+                placer.scorer.add_transaction_raw(n, [n - 1])
+        if data.draw(st.booleans()):
+            txids = range(
+                data.draw(st.integers(min_value=-2, max_value=n + 2)),
+                data.draw(st.integers(min_value=-2, max_value=n + 3)),
+            )
+        else:
+            txids = data.draw(
+                st.lists(st.integers(min_value=-1, max_value=n + 1))
+            )
+        outcomes = []
+        for placer in (python, numpy_):
+            try:
+                placer.scorer.release_vectors(txids)
+                outcomes.append(None)
+            except PlacementError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert python.scorer.released_count == numpy_.scorer.released_count
+        assert list(python.scorer._p_prime) == list(numpy_.scorer._p_prime)
+
 
 class TestRawParentPath:
     """``place_batch_raw``: the zero-copy CSR entry point the serving
