@@ -762,6 +762,15 @@ def _cmd_stats_server(args, host: str, port: int) -> int:
                 f"heartbeat timeouts "
                 f"{metrics.get('heartbeat_timeouts', 0)}",
             )
+            refs = metrics.get("remote_parent_refs", 0)
+            row(
+                "remote parents",
+                f"{count(refs)} refs in "
+                f"{count(metrics.get('acquire_round_trips', 0))} acquires  "
+                f"{metrics.get('parent_state_bytes', 0) / max(1, refs):.0f} "
+                f"B/ref  writebacks "
+                f"{metrics.get('writeback_bytes', 0) / 1024.0:.1f} KiB",
+            )
     wal = obs.get("wal")
     if wal:
         row(

@@ -80,6 +80,22 @@ class _TypedVector:
             self.arr[self._n : self._n + len(values)] = values
         self._n += len(values)
 
+    def extend_fill(self, count: int, fill) -> None:
+        """Append ``count`` copies of ``fill``: grow once, slice-fill."""
+        end = self._n + count
+        self._grow_to(end)
+        self.arr[self._n : end] = fill
+        self._n = end
+
+    def gather(self, idx) -> np.ndarray:
+        """Values at ``idx`` (every index below ``len(self)``) as one
+        array copy."""
+        return self.arr[np.asarray(idx, dtype=np.intp)]
+
+    def scatter(self, idx, values) -> None:
+        """``self[i] = v`` for each pair; a scalar ``values`` broadcasts."""
+        self.arr[np.asarray(idx, dtype=np.intp)] = values
+
     def __len__(self) -> int:
         return self._n
 
@@ -213,6 +229,45 @@ class RowMatrix:
     def extend(self, values) -> None:
         for value in values:
             self.append(value)
+
+    def extend_dead(self, count: int) -> None:
+        """Append ``count`` dead rows: grow once, write nothing. Rows
+        past the end are all-zero and dead already - fresh and grown
+        storage is zeroed, and truncation and :meth:`reset` zero what
+        they drop - so pad rows stay untouched pages."""
+        self._grow_to(self._n + count)
+        self._n += count
+
+    def gather(self, idx):
+        """Rows ``idx`` as CSR ``(nnz, shard, mass)``: ``nnz[i]`` is -1
+        for a dead row, and each row's entries are in ascending shard
+        order - the order :meth:`_row_dict` yields."""
+        idx = np.asarray(idx, dtype=np.intp)
+        rows = self.arr[idx]
+        at_row, shard = np.nonzero(rows)
+        nnz = np.bincount(at_row, minlength=idx.size).astype(np.int32)
+        nnz[self.live[idx] == 0] = -1
+        return nnz, shard.astype(np.int32), rows[at_row, shard]
+
+    def scatter(self, idx, nnz, shard, mass) -> None:
+        """Overwrite rows ``idx`` (distinct) from CSR, as
+        :meth:`gather` lays it out."""
+        idx = np.asarray(idx, dtype=np.intp)
+        nnz = np.asarray(nnz)
+        shard = np.asarray(shard)
+        if shard.size and not 0 <= shard.min() <= shard.max() < self.n_shards:
+            raise ValueError(
+                f"vector entry for a shard outside [0, {self.n_shards})"
+            )
+        self.arr[idx] = 0.0
+        self.live[idx] = nnz >= 0
+        self.arr[np.repeat(idx, np.maximum(nnz, 0)), shard] = mass
+
+    def reset(self, idx) -> None:
+        """Make rows ``idx`` dead."""
+        idx = np.asarray(idx, dtype=np.intp)
+        self.arr[idx] = 0.0
+        self.live[idx] = 0
 
     def __len__(self) -> int:
         return self._n
@@ -352,6 +407,42 @@ class MaskMap(MutableMapping):
             (txid, big[txid] if value == self._SENTINEL else value)
             for txid, value in zip(idx.tolist(), inline.tolist())
         ]
+
+    def gather(self, idx):
+        """``(slots, spill)`` for txids ``idx``: the raw int64 slot of
+        each (0 absent, ``_SENTINEL`` too wide for a slot) and the exact
+        masks of the sentinel slots, in ``idx`` order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size:
+            self._grow_to(int(idx.max()) + 1)
+        slots = self.arr[idx]
+        wide = idx[slots == self._SENTINEL].tolist()
+        return slots, [self._big[txid] for txid in wide]
+
+    def scatter(self, idx, slots, spill=()) -> None:
+        """Store :meth:`gather`-shaped masks at distinct txids ``idx``
+        (every slot nonzero)."""
+        idx = np.asarray(idx, dtype=np.intp)
+        if not idx.size:
+            return
+        slots = np.asarray(slots, dtype=np.int64)
+        self._grow_to(int(idx.max()) + 1)
+        old = self.arr[idx]
+        for txid in idx[old == self._SENTINEL].tolist():
+            del self._big[txid]
+        self._count += int(idx.size - np.count_nonzero(old))
+        self.arr[idx] = slots
+        self._big.update(zip(idx[slots == self._SENTINEL].tolist(), spill))
+
+    def reset(self, idx) -> None:
+        """Drop the entries at distinct txids ``idx`` that exist."""
+        idx = np.asarray(idx, dtype=np.intp)
+        idx = idx[idx < len(self.arr)]
+        old = self.arr[idx]
+        for txid in idx[old == self._SENTINEL].tolist():
+            del self._big[txid]
+        self._count -= int(np.count_nonzero(old))
+        self.arr[idx] = 0
 
     def clear_range(self, start: int, stop: int, exclude=()) -> None:
         """Drop every entry with ``start <= txid < stop`` except those

@@ -38,32 +38,26 @@ COUNTER_FIELDS = (
     "error_replies",
     "respawns",
     "heartbeat_timeouts",
+    # The price of cross-partition parents, counted by the write-lease
+    # holder per placed run: W_ACQUIRE round trips, the distinct foreign
+    # parents they fetched, and the frame bytes that crossed the link
+    # each way. Exact functions of the stream and the run grouping.
+    "acquire_round_trips",
+    "remote_parent_refs",
+    "parent_state_bytes",
+    "writeback_bytes",
 )
 
 
 class ServiceMetrics:
     """Live serving metrics owned by one process."""
 
-    __slots__ = (
-        "batch_latency",
-        "batches",
-        "placed",
-        "retry_replies",
-        "overload_replies",
-        "error_replies",
-        "respawns",
-        "heartbeat_timeouts",
-    )
+    __slots__ = ("batch_latency",) + COUNTER_FIELDS
 
     def __init__(self, precision: int = 5) -> None:
         self.batch_latency = LogHistogram(precision)
-        self.batches = 0
-        self.placed = 0
-        self.retry_replies = 0
-        self.overload_replies = 0
-        self.error_replies = 0
-        self.respawns = 0
-        self.heartbeat_timeouts = 0
+        for field in COUNTER_FIELDS:
+            setattr(self, field, 0)
 
     def record_batch(self, n_txs: int, seconds: float) -> None:
         """Record one placed batch (the dispatch hot-path call)."""
@@ -149,6 +143,26 @@ _METRIC_COUNTERS = (
         "heartbeat_timeouts",
         "repro_heartbeat_timeouts_total",
         "worker heartbeat timeouts",
+    ),
+    (
+        "acquire_round_trips",
+        "repro_acquire_round_trips_total",
+        "cross-partition parent acquires (one per placed run that needed any)",
+    ),
+    (
+        "remote_parent_refs",
+        "repro_remote_parent_refs_total",
+        "distinct foreign parents fetched from their owners",
+    ),
+    (
+        "parent_state_bytes",
+        "repro_parent_state_bytes_total",
+        "parent-state frame bytes received by the write-lease holder",
+    ),
+    (
+        "writeback_bytes",
+        "repro_writeback_bytes_total",
+        "writeback frame bytes sent by the write-lease holder",
     ),
 )
 

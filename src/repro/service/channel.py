@@ -27,6 +27,31 @@ The inter-worker request kinds (0x10..0x1F, reserved by wire.py):
 ``W_SHUTDOWN``        coordinator -> worker: drain queued work and exit
 ``W_PING``            coordinator -> worker: liveness probe (heartbeat)
 ====================  ====================================================
+
+The four parent-state kinds carry typed-array payloads, not JSON
+(layouts in :mod:`repro.service.partition`; everything little-endian):
+
+- ``W_ACQUIRE`` / ``W_READ`` request: a bare ``i64[n]`` column of
+  distinct parent txids. The coordinator reads it to group txids by
+  owner and sends each owner its share.
+- ``W_READ`` reply (:data:`STATUS_FRAME`): one
+  :class:`~repro.service.partition.ParentStates` frame - 16-byte header
+  (rows, flags, spilled masks, vector entries), then the columns
+  ``txids``, ``assignment``, ``mask`` (``i64[rows]``), with a scorer
+  ``spender_count`` ``i64``, ``min_mass`` ``f64``, optional
+  ``output_count`` ``i64``, the vectors as CSR (``mass`` ``f64[entries]``,
+  ``nnz`` ``i32[rows]`` with -1 for "no vector", ``shard``
+  ``i32[entries]``, entries in the owner's iteration order), then each
+  mask wider than 62 bits (slot -1 in ``mask``) as a length-prefixed
+  little-endian integer. The ``W_ACQUIRE`` reply is the owners' reply
+  payloads joined in owner order - the coordinator never parses them,
+  and the worker journals those bytes as they are.
+- ``W_WRITEBACK`` / ``W_APPLY`` request: one
+  :class:`~repro.service.partition.Writebacks` frame (same header;
+  ``txids``, ``spender_count``, ``mask`` columns, mask slot 0 = fully
+  spent; spill as above). The coordinator reads the txid column and,
+  when one partition owns every row, forwards the payload untouched.
+  Success is the empty :func:`ack` frame.
 """
 
 from __future__ import annotations
@@ -38,9 +63,9 @@ from typing import Any, Awaitable, Callable
 from repro.errors import ProtocolError, ServiceError
 from repro.service.wire import (
     RESPONSE_FLAG,
+    STATUS_JSON,
     encode_error_response,
     encode_frame,
-    encode_json_response,
     read_frame,
 )
 
@@ -57,6 +82,19 @@ W_CHECKPOINT = 0x19
 W_RESUME = 0x1A
 W_SHUTDOWN = 0x1B
 W_PING = 0x1C
+
+#: Response kind whose payload is typed-array frame bytes (the success
+#: reply of ``W_READ`` / ``W_ACQUIRE``). Statuses below 0x10 are the
+#: client protocol's (wire.py); this one never leaves the worker links.
+STATUS_FRAME = RESPONSE_FLAG | 0x10
+
+
+def ack(request_id: int) -> bytes:
+    """The bare success reply of ``W_APPLY`` / ``W_WRITEBACK``: an empty
+    JSON-status frame, which decodes as ``{"ok": True}`` with no JSON
+    call at either end."""
+    return encode_frame(RESPONSE_FLAG | STATUS_JSON, request_id)
+
 
 #: handler(kind, request_id, payload) -> complete response frame bytes.
 Handler = Callable[[int, int, bytes], Awaitable[bytes]]
@@ -220,8 +258,3 @@ class FrameChannel:
             await self._writer.wait_closed()
         except (ConnectionError, OSError):
             pass
-
-
-def ok_response(request_id: int, obj: "dict[str, Any] | None" = None) -> bytes:
-    """A JSON success response frame for a channel request."""
-    return encode_json_response(request_id, obj or {})

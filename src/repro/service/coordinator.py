@@ -50,6 +50,7 @@ import multiprocessing
 import os
 import secrets
 import sys
+from array import array
 from pathlib import Path
 from typing import Any
 
@@ -60,12 +61,20 @@ from repro.obs.prom import render_families
 from repro.service import channel as ch
 from repro.service.channel import ChannelClosed, FrameChannel
 from repro.service.journal import journal_path_for
+from repro.service.partition import (
+    Writebacks,
+    txids_from_bytes,
+    txids_to_bytes,
+)
 from repro.service.server import DEFAULT_PORT, PlacementServer
 from repro.service.wire import (
     FRAME_HEADER_BYTES,
     PROTOCOL_VERSION,
+    RESPONSE_FLAG,
+    STATUS_ERROR_RETRY,
     decode_place_payload,
     decode_response,
+    encode_frame,
     encode_place_request,
     encode_response_for,
     peek_place_header,
@@ -108,28 +117,34 @@ class _WorkerHandle:
         #: Did the worker hold the write lease when it was lost? Only
         #: then are its replayed final-batch writebacks re-delivered.
         self.died_active = False
-        #: Writebacks addressed to this worker while it was down,
-        #: flushed (in order) on its respawn hello.
-        self.pending_writebacks: list[dict[str, Any]] = []
+        #: Writebacks frames addressed to this worker while it was
+        #: down, flushed (in order, one W_APPLY each - a later batch
+        #: may rewrite a parent an earlier one wrote) on its respawn
+        #: hello.
+        self.pending_writebacks: list[bytes] = []
         #: A lease grant (hot state) that could not be delivered
         #: because this worker was down; flushed after respawn.
         self.pending_grant: "dict[str, Any] | None" = None
-        #: Recovery writebacks reported at startup, resolved once all
-        #: workers are up (only the stream frontier holder's apply).
-        self.startup_writebacks: "list[dict[str, Any]] | None" = None
+        #: Recovery writebacks (one frame) reported at startup, resolved
+        #: once all workers are up (only the stream frontier holder's
+        #: apply).
+        self.startup_writebacks: "bytes | None" = None
+
+    async def request(self, kind: int, payload: bytes) -> tuple[int, bytes]:
+        """One raw round trip (raises ChannelClosed)."""
+        if not self.alive or self.channel is None:
+            raise ChannelClosed(
+                f"worker {self.partition_id} is not connected"
+            )
+        return await self.channel.request(kind, payload)
 
     async def request_json(
         self, kind: int, body: "dict[str, Any] | None" = None
     ) -> dict:
         """One JSON request/response round trip (raises ChannelClosed)."""
-        if not self.alive or self.channel is None:
-            raise ChannelClosed(
-                f"worker {self.partition_id} is not connected"
-            )
-        response_kind, payload = await self.channel.request(
-            kind, ch.json_payload(body) if body else b""
+        return decode_response(
+            *await self.request(kind, ch.json_payload(body) if body else b"")
         )
-        return decode_response(response_kind, payload)
 
 
 class ShardedPlacementServer(PlacementServer):
@@ -470,7 +485,7 @@ class ShardedPlacementServer(PlacementServer):
         handle.channel = channel
         handle._hello_cursor = body.get("n_placed", 0)
         recovery = body.get("recovery") or {}
-        writebacks = recovery.get("writebacks") or []
+        writebacks = bytes.fromhex(recovery.get("writebacks") or "")
         if writebacks:
             if handle.recovering:
                 # A respawned worker replayed its journal; its final
@@ -485,17 +500,16 @@ class ShardedPlacementServer(PlacementServer):
                 # Cold start: defer until every partition has said
                 # hello and the true frontier is known.
                 handle.startup_writebacks = writebacks
-        if handle.pending_writebacks:
-            buffered = handle.pending_writebacks
-            handle.pending_writebacks = []
+        while handle.pending_writebacks:
             try:
-                response_kind, response_payload = await channel.request(
-                    ch.W_APPLY, ch.json_payload({"updates": buffered})
+                response = decode_response(
+                    *await channel.request(
+                        ch.W_APPLY, handle.pending_writebacks[0]
+                    )
                 )
-                response = decode_response(response_kind, response_payload)
             except ChannelClosed:
-                handle.pending_writebacks = buffered
-                response = {"ok": True}
+                break
+            del handle.pending_writebacks[0]
             if not response.get("ok"):
                 self._degraded = (
                     f"partition {partition_id} rejected buffered "
@@ -517,43 +531,33 @@ class ShardedPlacementServer(PlacementServer):
         payload: bytes,
     ) -> bytes:
         if kind == ch.W_ACQUIRE:
-            body = ch.parse_json_payload(payload)
-            states: dict[str, Any] = {}
-            by_owner: dict[int, list[int]] = {}
-            for txid in body["txids"]:
-                by_owner.setdefault(self._owner_of(txid), []).append(txid)
-            for owner_id, txids in by_owner.items():
-                owner = self._workers[owner_id]
-                try:
-                    response = await owner.request_json(
-                        ch.W_READ, {"txids": txids}
-                    )
-                except ChannelClosed:
-                    # Owner is down/recovering: the active batch fails
-                    # with a retryable reply, no state was mutated.
-                    return encode_response_for(
-                        request_id,
-                        {
-                            "ok": False,
-                            "code": "retry",
-                            "error": (
-                                f"partition {owner_id} is recovering; "
-                                "retry later"
-                            ),
-                        },
-                    )
-                if not response.get("ok"):
-                    return encode_response_for(request_id, response)
-                states.update(response["states"])
-            return encode_response_for(
-                request_id, {"ok": True, "states": states}
+            by_owner: dict[int, array] = {}
+            for txid in txids_from_bytes(payload).tolist():
+                by_owner.setdefault(self._owner_of(txid), array("q")).append(
+                    txid
+                )
+            # Owners are read concurrently; their replies are joined in
+            # owner order and never parsed here. The first failure, in
+            # that order, is the reply.
+            replies = await asyncio.gather(
+                *(
+                    self._read_owner(owner_id, by_owner[owner_id])
+                    for owner_id in sorted(by_owner)
+                )
+            )
+            for reply_kind, section in replies:
+                if reply_kind != ch.STATUS_FRAME:
+                    return encode_frame(reply_kind, request_id, section)
+            return encode_frame(
+                ch.STATUS_FRAME,
+                request_id,
+                b"".join(section for _, section in replies),
             )
         if kind == ch.W_WRITEBACK:
-            body = ch.parse_json_payload(payload)
-            failure = await self._apply_updates_by_owner(body["updates"])
+            failure = await self._apply_updates_by_owner(payload)
             if failure is not None:
                 return encode_response_for(request_id, failure)
-            return encode_response_for(request_id, {"ok": True})
+            return ch.ack(request_id)
         if kind == ch.W_RELEASE:
             body = ch.parse_json_payload(payload)
             hot = body["hot"]
@@ -574,33 +578,45 @@ class ShardedPlacementServer(PlacementServer):
             return encode_response_for(request_id, {"ok": True})
         raise ProtocolError(f"unexpected worker request kind 0x{kind:02x}")
 
-    async def _apply_updates_by_owner(
-        self, updates: "list[dict[str, Any]]"
-    ) -> "dict[str, Any] | None":
-        """Route parent-state mutations to their owning partitions.
+    async def _read_owner(
+        self, owner_id: int, txids: array
+    ) -> tuple[int, bytes]:
+        """One ``W_READ``; a lost owner reads as its ``retry`` reply."""
+        try:
+            return await self._workers[owner_id].request(
+                ch.W_READ, txids_to_bytes(txids)
+            )
+        except ChannelClosed:
+            # Owner is down/recovering: the active batch fails with a
+            # retryable reply, no state was mutated.
+            return (
+                RESPONSE_FLAG | STATUS_ERROR_RETRY,
+                f"partition {owner_id} is recovering; retry later".encode(),
+            )
 
-        Updates addressed to a down partition are buffered on its
-        handle and flushed when it rejoins (safe: the values are
-        absolute, so re-application is idempotent). Returns a failure
-        response if an owner *refused* its share - the partitions have
-        forked and the service degrades - else ``None``.
+    async def _apply_updates_by_owner(
+        self, updates: bytes
+    ) -> "dict[str, Any] | None":
+        """Route one :class:`Writebacks` frame to the owning partitions.
+
+        Rows addressed to a down partition are buffered on its handle
+        and flushed when it rejoins (safe: the values are absolute, so
+        re-application is idempotent). Returns a failure response if an
+        owner *refused* its share - the partitions have forked and the
+        service degrades - else ``None``.
         """
-        by_owner: dict[int, list[dict]] = {}
-        for update in updates:
-            by_owner.setdefault(
-                self._owner_of(update["txid"]), []
-            ).append(update)
-        for owner_id, owned in by_owner.items():
+        by_owner = Writebacks.from_bytes(updates).by_owner(
+            self._lease_length, self._n_workers
+        )
+        for owner_id, frame in by_owner.items():
             owner = self._workers[owner_id]
-            if not owner.alive:
-                owner.pending_writebacks.extend(owned)
-                continue
+            owned = frame.to_bytes()
             try:
-                response = await owner.request_json(
-                    ch.W_APPLY, {"updates": owned}
+                response = decode_response(
+                    *await owner.request(ch.W_APPLY, owned)
                 )
             except ChannelClosed:
-                owner.pending_writebacks.extend(owned)
+                owner.pending_writebacks.append(owned)
                 continue
             if not response.get("ok"):
                 # The batch already committed on the active

@@ -13,10 +13,11 @@ Design points:
 - **Raw frames, not decoded state.** Batch records store the raw
   binary place payloads (post-routing segments, exactly the coalesced
   groups the dispatcher placed) plus the acquired foreign-parent
-  states. Replay re-runs ``place_batch`` with the recorded states, so
-  it needs no live peers and reproduces the identical arithmetic -
-  including epoch/horizon sweeps, which fire on batch boundaries and
-  therefore require the original batch *grouping*, not just the txids.
+  states, as the bytes the ``W_ACQUIRE`` reply carried. Replay re-runs
+  ``place_batch`` with the recorded states, so it needs no live peers
+  and reproduces the identical arithmetic - including epoch/horizon
+  sweeps, which fire on batch boundaries and therefore require the
+  original batch *grouping*, not just the txids.
 - **Append before apply.** A record is on disk (buffered write + flush;
   a process crash loses nothing the OS accepted) before the mutation
   executes, so the journal is always a superset of externally visible
@@ -45,14 +46,22 @@ On-disk layout::
                            base_cursor, base_nonce}
     records   type u8 + payload length u32 + payload CRC32 u32 + payload
 
-Record types: ``BATCH`` (segment count, length-prefixed raw payloads,
-parent-states JSON), ``GRANT`` (hot-state JSON), ``APPLY`` (writeback
-updates JSON).
+Record types: ``BATCH`` (segment count u32, length-prefixed raw place
+payloads, then a length-prefixed
+:class:`~repro.service.partition.ParentStates` buffer - zero or more
+typed-array frames back to back, empty when the batch read no foreign
+parent), ``GRANT`` (hot-state JSON), ``APPLY`` (one
+:class:`~repro.service.partition.Writebacks` frame). The frame layout -
+16-byte header, i64/f64/i32 columns, vector entries in the owner's
+iteration order, masks wider than 62 bits spilled behind the columns -
+is documented in :mod:`repro.service.partition`; the journal stores the
+bytes it is handed and replay decodes them with the same reader the
+live path uses. Version 2 introduced the frames (version 1 stored JSON
+there); a version-1 file is refused, not discarded.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
@@ -63,13 +72,13 @@ from typing import Any, Callable, Sequence
 from repro.errors import EngineError
 from repro.service.partition import (
     EnginePartition,
-    decode_parent_states,
-    encode_parent_states,
+    ParentStates,
+    Writebacks,
 )
 from repro.service.wire import decode_place_payload
 
 JOURNAL_MAGIC = b"OCWAL\x00"
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 _HEADER_PREFIX = struct.Struct("<6sBB")  # magic, version, flags
 _HEADER_LEN = struct.Struct("<II")  # header length, header crc32
@@ -91,40 +100,23 @@ def _crc(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-def _encode_batch_payload(
-    segments: Sequence[bytes], states: dict[int, dict[str, Any]]
-) -> bytes:
-    out = io.BytesIO()
-    out.write(_U32.pack(len(segments)))
-    for segment in segments:
-        out.write(_U32.pack(len(segment)))
-        out.write(segment)
-    states_bytes = json.dumps(
-        encode_parent_states(states), separators=(",", ":")
-    ).encode("utf-8")
-    out.write(_U32.pack(len(states_bytes)))
-    out.write(states_bytes)
-    return out.getvalue()
+def _encode_batch_payload(segments: Sequence[bytes], states: bytes) -> bytes:
+    parts = [_U32.pack(len(segments))]
+    for segment in (*segments, states):
+        parts += (_U32.pack(len(segment)), segment)
+    return b"".join(parts)
 
 
-def _decode_batch_payload(
-    payload: bytes,
-) -> tuple[list[bytes], dict[int, dict[str, Any]]]:
-    offset = 0
-    (n_segments,) = _U32.unpack_from(payload, offset)
-    offset += 4
-    segments = []
-    for _ in range(n_segments):
+def _decode_batch_payload(payload: bytes) -> tuple[list[bytes], bytes]:
+    (n_segments,) = _U32.unpack_from(payload, 0)
+    offset = 4
+    sections = []
+    for _ in range(n_segments + 1):
         (length,) = _U32.unpack_from(payload, offset)
         offset += 4
-        segments.append(payload[offset : offset + length])
+        sections.append(payload[offset : offset + length])
         offset += length
-    (length,) = _U32.unpack_from(payload, offset)
-    offset += 4
-    states = decode_parent_states(
-        json.loads(payload[offset : offset + length].decode("utf-8"))
-    )
-    return segments, states
+    return sections[:-1], sections[-1]
 
 
 class BatchJournal:
@@ -152,7 +144,7 @@ class BatchJournal:
         #: Fault-injection hook: called after every BATCH append (the
         #: "frame count" chaos plans kill on). None in production.
         self.on_batch_append: "Callable[[BatchJournal], None] | None" = None
-        self._fh: "io.BufferedWriter | None" = None
+        self._fh: "Any | None" = None
         self._unsynced = 0
         # Lifetime observability counters (survive reset(): they count
         # work done, not bytes currently on disk). Exported through
@@ -268,11 +260,16 @@ class BatchJournal:
         }
 
     def append_batch(
-        self,
-        segments: Sequence[bytes],
-        states: dict[int, dict[str, Any]],
+        self, segments: Sequence[bytes], states: "ParentStates | None"
     ) -> None:
-        self._append(REC_BATCH, _encode_batch_payload(segments, states))
+        """``states`` are stored as the bytes they arrived in (anything
+        empty: no bytes)."""
+        self._append(
+            REC_BATCH,
+            _encode_batch_payload(
+                segments, states.to_bytes() if states else b""
+            ),
+        )
         if self.on_batch_append is not None:
             self.on_batch_append(self)
 
@@ -282,24 +279,19 @@ class BatchJournal:
             json.dumps(hot, separators=(",", ":")).encode("utf-8"),
         )
 
-    def append_apply(self, updates: Sequence[dict[str, Any]]) -> None:
-        self._append(
-            REC_APPLY,
-            json.dumps(list(updates), separators=(",", ":")).encode(
-                "utf-8"
-            ),
-        )
+    def append_apply(self, updates: Writebacks) -> None:
+        self._append(REC_APPLY, updates.to_bytes())
 
 
 @dataclass
 class ReplayResult:
     """Outcome of one recovery replay."""
 
-    #: Writebacks of the final journaled batch, compacted per txid -
-    #: the only batch whose original writeback delivery may have been
-    #: lost in the crash. Re-applied by the coordinator before the
-    #: partition rejoins service (absolute values; exact either way).
-    writebacks: list[dict[str, Any]] = field(default_factory=list)
+    #: Writebacks of the final journaled batch - the only batch whose
+    #: original writeback delivery may have been lost in the crash.
+    #: Re-applied by the coordinator before the partition rejoins
+    #: service (absolute values; exact either way).
+    writebacks: Writebacks = field(default_factory=Writebacks)
     n_batches: int = 0
     n_grants: int = 0
     n_applies: int = 0
@@ -315,13 +307,23 @@ class ReplayResult:
 def _read_header(
     raw: bytes,
 ) -> "tuple[dict[str, Any], int] | None":
-    """``(header, records_offset)``; None when torn/not a journal."""
+    """``(header, records_offset)``; None when torn/not a journal.
+
+    A journal of another format version is refused, loudly: treating it
+    as "not a journal" would silently drop acknowledged batches.
+    """
     prefix_len = _HEADER_PREFIX.size + _HEADER_LEN.size
     if len(raw) < prefix_len:
         return None
     magic, version, _flags = _HEADER_PREFIX.unpack_from(raw, 0)
-    if magic != JOURNAL_MAGIC or version != JOURNAL_VERSION:
+    if magic != JOURNAL_MAGIC:
         return None
+    if version != JOURNAL_VERSION:
+        raise EngineError(
+            f"journal written by format v{version} (this build reads "
+            f"v{JOURNAL_VERSION}); checkpoint with the previous build "
+            "before upgrading"
+        )
     header_len, header_crc = _HEADER_LEN.unpack_from(
         raw, _HEADER_PREFIX.size
     )
@@ -408,7 +410,7 @@ def replay_journal(
             fh.truncate(end)
             fh.flush()
             os.fsync(fh.fileno())
-    last_batch_writebacks: list[dict[str, Any]] = []
+    last_batch_writebacks = Writebacks()
     for rtype, payload in records:
         if rtype == REC_BATCH:
             segments, states = _decode_batch_payload(payload)
@@ -417,12 +419,12 @@ def replay_journal(
                 batch.extend(decode_place_payload(segment))
             try:
                 _shards, writebacks = partition.place_batch(
-                    batch, states
+                    batch, ParentStates.from_bytes(states)
                 )
             except EngineError:
                 # The original attempt failed identically (the reject
                 # is atomic); the record is a no-op.
-                last_batch_writebacks = []
+                last_batch_writebacks = Writebacks()
                 continue
             last_batch_writebacks = writebacks
             result.n_batches += 1
@@ -431,21 +433,16 @@ def replay_journal(
                 json.loads(payload.decode("utf-8"))
             )
             result.n_grants += 1
-            last_batch_writebacks = []
+            last_batch_writebacks = Writebacks()
         elif rtype == REC_APPLY:
-            partition.apply_writebacks(
-                json.loads(payload.decode("utf-8"))
-            )
+            partition.apply_writebacks(Writebacks.from_bytes(payload))
             result.n_applies += 1
-            last_batch_writebacks = []
+            last_batch_writebacks = Writebacks()
         # Unknown record types are skipped (forward compatibility).
         # Only a *final* successful batch can have undelivered
         # writebacks: any later record proves the crashed process
         # survived past that batch's writeback round trip, so
         # last_batch_writebacks is cleared on every non-batch record.
-    compacted: dict[int, dict[str, Any]] = {
-        update["txid"]: update for update in last_batch_writebacks
-    }
-    result.writebacks = list(compacted.values())
+    result.writebacks = last_batch_writebacks
     result.replayed = True
     return result

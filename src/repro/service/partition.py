@@ -32,7 +32,11 @@ Three protocols make that sound:
   parents (spender counts, spent outputs) return to their owners as
   **writebacks** (:meth:`EnginePartition.apply_writebacks`). Because
   only the lease holder mutates, acquire-mutate-writeback needs no
-  locking; ordering is the lease protocol.
+  locking; ordering is the lease protocol. Both directions travel as
+  typed-array frames (:class:`ParentStates`, :class:`Writebacks`) that
+  array-backed state gathers and scatters whole and list-backed state
+  walks with plain loops - one format on the link, in the journal and
+  between in-process partitions.
 - **Exactness**: a single-partition configuration never pads, installs,
   or hands off - it *is* the plain engine (golden-tested). Multi-
   partition configurations replay the same sequential decision
@@ -43,10 +47,13 @@ Three protocols make that sound:
 from __future__ import annotations
 
 import math
+import struct
+import sys
+from array import array
 from typing import Any, Sequence
 
 from repro.core.optchain import LoadProxyLatencyProvider
-from repro.errors import ConfigurationError, EngineError
+from repro.errors import ConfigurationError, EngineError, ProtocolError
 from repro.service.engine import PlacementEngine
 from repro.service.wire import (
     FRAME_HEADER_BYTES,
@@ -63,46 +70,615 @@ def lease_of(txid: int, lease_length: int) -> int:
     return txid // lease_length
 
 
-def encode_parent_states(
-    states: dict[int, dict[str, Any]],
-) -> dict[str, Any]:
-    """JSON-safe form of :meth:`EnginePartition.read_parents` output.
-
-    Vectors travel as ``[[shard, mass], ...]`` pair lists: JSON object
-    keys would stringify the shard ids, and the pair list preserves the
-    dict insertion order that feeds multi-parent accumulation (part of
-    the bit-identical contract). Floats round-trip exactly (repr);
-    masks are arbitrary-precision ints, which JSON carries natively.
-    """
-    encoded = {}
-    for txid, state in states.items():
-        entry = dict(state)
-        vector = entry.get("vector")
-        if vector is not None:
-            entry["vector"] = [
-                [shard, mass] for shard, mass in vector.items()
-            ]
-        encoded[str(txid)] = entry
-    return encoded
-
-
-def decode_parent_states(
-    encoded: dict[str, Any],
-) -> dict[int, dict[str, Any]]:
-    """Inverse of :func:`encode_parent_states`."""
-    states: dict[int, dict[str, Any]] = {}
-    for key, entry in encoded.items():
-        state = dict(entry)
-        vector = state.get("vector")
-        if vector is not None:
-            state["vector"] = {shard: mass for shard, mass in vector}
-        states[int(key)] = state
-    return states
-
-
 def owner_of(txid: int, lease_length: int, n_partitions: int) -> int:
     """Partition id owning a txid."""
     return (txid // lease_length) % n_partitions
+
+
+# -- parent-state frames ----------------------------------------------------
+#
+# Cross-partition parent state travels - between partitions, through the
+# coordinator, into the journal - as typed-array frames, never as
+# per-txid objects. One frame (everything little-endian)::
+#
+#     16 bytes  rows u32, flags u32, spilled masks u32, entries u32
+#     columns   in the class's _COLUMNS order, each i64/f64/i32[rows]
+#               (or [entries] for the vector columns); a column whose
+#               flag bit is clear is absent
+#     spill     per spilled mask: byte length u32 + little-endian bytes
+#
+# A buffer holds any number of frames back to back (the coordinator
+# joins the owners' replies without parsing them); decoding one joins
+# the columns.
+
+_LITTLE_ENDIAN = sys.byteorder == "little"
+_U32 = struct.Struct("<I")
+_ITEMSIZE = {"q": 8, "d": 8, "i": 4}
+#: ``mask`` slot of a mask too wide for an int64; its exact value is the
+#: next entry of the frame's spill list. Sentinel and width rule are
+#: :class:`~repro.core.backends.arrays.MaskMap`'s, so array-backed state
+#: moves its slots through a frame unconverted. Slot 0 is "no mask".
+MASK_SPILL = -1
+_MASK_INLINE_BITS = 62
+
+
+def _column(typecode: str, values):
+    """A typed column: arrays and views pass through, lists pack."""
+    if not hasattr(values, "tolist"):
+        return array(typecode, values)
+    if memoryview(values).itemsize != _ITEMSIZE[typecode]:
+        raise TypeError(f"column is not of type '{typecode}'")
+    return values
+
+
+def _column_bytes(column) -> memoryview:
+    view = memoryview(column)
+    if not _LITTLE_ENDIAN:  # pragma: no cover - no BE host in CI
+        swapped = array(view.format, view)
+        swapped.byteswap()
+        view = memoryview(swapped)
+    return view.cast("B")
+
+
+def pack_masks(masks) -> tuple[list[int], list[int]]:
+    """``(slots, spill)`` of python masks (``None`` and 0: slot 0)."""
+    slots, spill = [], []
+    for mask in masks:
+        if not mask:
+            slots.append(0)
+        elif mask.bit_length() <= _MASK_INLINE_BITS:
+            slots.append(mask)
+        else:
+            slots.append(MASK_SPILL)
+            spill.append(mask)
+    return slots, spill
+
+
+class _FrameReader:
+    """Sequential typed columns out of one buffer, as zero-copy
+    ``memoryview`` casts: ``.tolist()`` feeds plain loops and the buffer
+    protocol feeds ``np.asarray`` views, so reading needs no numpy."""
+
+    __slots__ = ("_view", "offset")
+
+    def __init__(self, buf) -> None:
+        self._view = memoryview(buf)
+        self.offset = 0
+
+    def _advance(self, nbytes: int, what: str) -> memoryview:
+        end = self.offset + nbytes
+        if end > len(self._view):
+            raise ProtocolError(
+                f"frame truncated: wanted {nbytes} bytes for {what}, "
+                f"had {len(self._view) - self.offset}"
+            )
+        chunk = self._view[self.offset : end]
+        self.offset = end
+        return chunk
+
+    def header(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self._advance(layout.size, "a header"))
+
+    def take(self, typecode: str, count: int):
+        column = self._advance(
+            count * _ITEMSIZE[typecode], f"{count} '{typecode}' entries"
+        ).cast(typecode)
+        if not _LITTLE_ENDIAN:  # pragma: no cover - no BE host in CI
+            column = array(typecode, column)
+            column.byteswap()
+        return column
+
+
+def txids_to_bytes(txids) -> bytes:
+    """A bare txid column (the ``W_ACQUIRE`` / ``W_READ`` request)."""
+    return bytes(_column_bytes(_column("q", txids)))
+
+
+def txids_from_bytes(payload: bytes):
+    if len(payload) % 8:
+        raise ProtocolError(
+            f"txid column of {len(payload)} bytes is not whole i64 entries"
+        )
+    return _FrameReader(payload).take("q", len(payload) // 8)
+
+
+class _Frame:
+    """Columns of one decoded (or freshly gathered) frame.
+
+    ``_COLUMNS`` names each column in wire order: ``(name, typecode,
+    flag bit that carries it - 0 for always, sized by entries rather
+    than rows)``. A frame is immutable once built, and one decoded from
+    bytes re-encodes as those bytes, verbatim.
+    """
+
+    __slots__ = ()
+    _HEADER = struct.Struct("<IIII")
+    _COLUMNS: "tuple[tuple[str, str, int, bool], ...]" = ()
+
+    def __init__(self, *columns, spill=()) -> None:
+        columns += (None,) * (len(self._COLUMNS) - len(columns))
+        for (name, typecode, bit, _), values in zip(self._COLUMNS, columns):
+            if values is None and not bit:
+                values = ()
+            setattr(
+                self,
+                name,
+                None if values is None else _column(typecode, values),
+            )
+        self.spill = list(spill)
+        self._raw: "bytes | None" = None
+
+    def __len__(self) -> int:
+        return len(self.txids)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.to_bytes() == other.to_bytes()
+
+    def masks(self) -> list[int]:
+        """The ``mask`` column as python ints (0: no mask)."""
+        wide = iter(self.spill)
+        return [
+            next(wide) if slot == MASK_SPILL else slot
+            for slot in self.mask.tolist()
+        ]
+
+    def to_bytes(self) -> bytes:
+        if self._raw is None:
+            flags = entries = 0
+            sections = []
+            for name, _typecode, bit, per_entry in self._COLUMNS:
+                column = getattr(self, name)
+                if column is None:
+                    continue
+                flags |= bit
+                if per_entry:
+                    entries = len(column)
+                sections.append(_column_bytes(column))
+            for mask in self.spill:
+                raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+                sections += (_U32.pack(len(raw)), raw)
+            header = self._HEADER.pack(
+                len(self), flags, len(self.spill), entries
+            )
+            self._raw = b"".join([header, *sections])
+        return self._raw
+
+    @classmethod
+    def from_bytes(cls, buf) -> "Any":
+        """Decode every frame in ``buf`` into one (raises
+        :class:`~repro.errors.ProtocolError` on malformed bytes)."""
+        reader = _FrameReader(buf)
+        frames = []
+        while reader.offset < len(buf):
+            frames.append(cls._decode(reader))
+        if len(frames) == 1:
+            frame = frames[0]
+        else:
+            columns = []
+            for name, typecode, _bit, _ in cls._COLUMNS:
+                parts = [getattr(frame, name) for frame in frames]
+                if any(part is None for part in parts):
+                    if not all(part is None for part in parts):
+                        raise ProtocolError(
+                            f"joined frames disagree on column {name!r}"
+                        )
+                    columns.append(None)
+                    continue
+                joined = array(typecode)
+                for part in parts:
+                    joined.frombytes(memoryview(part).cast("B"))
+                columns.append(joined)
+            frame = cls(
+                *columns,
+                spill=[mask for frame in frames for mask in frame.spill],
+            )
+        frame._raw = buf
+        return frame
+
+    @classmethod
+    def _decode(cls, reader: _FrameReader) -> "Any":
+        rows, flags, n_spill, entries = reader.header(cls._HEADER)
+        known = 0
+        columns = []
+        for _name, typecode, bit, per_entry in cls._COLUMNS:
+            known |= bit
+            columns.append(
+                reader.take(typecode, entries if per_entry else rows)
+                if flags & bit == bit
+                else None
+            )
+        if flags & ~known:
+            raise ProtocolError(f"frame has unknown flags 0x{flags:x}")
+        frame = cls(*columns)
+        marked = frame.mask.tolist().count(MASK_SPILL)
+        if marked != n_spill:
+            raise ProtocolError(
+                f"frame spills {n_spill} masks but marks {marked} slots"
+            )
+        for _ in range(n_spill):
+            (length,) = reader.header(_U32)
+            frame.spill.append(
+                int.from_bytes(
+                    reader._advance(length, "a spilled mask"), "little"
+                )
+            )
+        frame._check(entries)
+        return frame
+
+    def _check(self, entries: int) -> None:
+        if entries:
+            raise ProtocolError("frame declares entries it cannot carry")
+
+
+class ParentStates(_Frame):
+    """What an owner knows about parents another partition reads.
+
+    One row per parent: its shard ``assignment`` and unspent-output
+    ``mask`` (slot 0 = unknown or fully spent - the active side will
+    reject a spend of it with the exact error the monolithic engine
+    raises). Strategies with a T2S scorer add ``spender_count``,
+    ``min_mass``, ``output_count`` (``outdeg_mode="outputs"`` only) and
+    the sparse vector as CSR: ``nnz`` entries per row (-1 = no vector,
+    0 = an empty live one), then ``shard`` / ``mass`` of every entry
+    **in the owner's iteration order** - the python backend's dict
+    insertion order feeds multi-parent accumulation, so it is part of
+    the bit-identical contract.
+    """
+
+    __slots__ = (
+        "txids", "assignment", "mask", "spender_count", "min_mass",
+        "output_count", "mass", "nnz", "shard", "spill", "_raw",
+    )  # fmt: skip
+    _COLUMNS = (
+        ("txids", "q", 0, False),
+        ("assignment", "q", 0, False),
+        ("mask", "q", 0, False),
+        ("spender_count", "q", 1, False),
+        ("min_mass", "d", 1, False),
+        ("output_count", "q", 2, False),
+        ("mass", "d", 1, True),
+        ("nnz", "i", 1, False),
+        ("shard", "i", 1, True),
+    )
+
+    def _check(self, entries: int) -> None:
+        if self.nnz is None:
+            if entries or self.output_count is not None:
+                raise ProtocolError("frame has vector data but no vectors")
+            return
+        counts = self.nnz.tolist()
+        if (counts and min(counts) < -1) or entries != sum(
+            count for count in counts if count > 0
+        ):
+            raise ProtocolError(
+                f"frame rows do not add up to its {entries} vector entries"
+            )
+
+    def vectors(self) -> "list[dict[int, float] | None]":
+        """The CSR columns as one sparse dict (or ``None``) per row."""
+        shard = self.shard.tolist()
+        mass = self.mass.tolist()
+        vectors: "list[dict[int, float] | None]" = []
+        at = 0
+        for count in self.nnz.tolist():
+            if count < 0:
+                vectors.append(None)
+                continue
+            vectors.append(dict(zip(shard[at : at + count], mass[at : at + count])))
+            at += count
+        return vectors
+
+
+class Writebacks(_Frame):
+    """The active partition's mutations to foreign parents: the new
+    absolute ``spender_count`` and ``mask`` (slot 0 = now fully spent)
+    of every parent one batch changed, so re-applying is idempotent."""
+
+    __slots__ = ("txids", "spender_count", "mask", "spill", "_raw")
+    _COLUMNS = (
+        ("txids", "q", 0, False),
+        ("spender_count", "q", 0, False),
+        ("mask", "q", 0, False),
+    )
+
+    def by_owner(
+        self, lease_length: int, n_partitions: int
+    ) -> "dict[int, Writebacks]":
+        """Rows grouped by owning partition, reading the txid column
+        alone when one partition owns them all (``self``, untouched)."""
+        txids = self.txids.tolist()
+        owners = [owner_of(txid, lease_length, n_partitions) for txid in txids]
+        if len(set(owners)) <= 1:
+            return {owners[0]: self} if owners else {}
+        rows: dict[int, list] = {}
+        for owner, row in zip(
+            owners, zip(txids, self.spender_count.tolist(), self.masks())
+        ):
+            rows.setdefault(owner, []).append(row)
+        parts = {}
+        for owner, owned in sorted(rows.items()):
+            txids, counts, masks = zip(*owned)
+            slots, spill = pack_masks(masks)
+            parts[owner] = Writebacks(txids, counts, slots, spill=spill)
+        return parts
+
+
+_NO_STATES = ParentStates()
+_NO_WRITEBACKS = Writebacks()
+
+
+class _ListOps:
+    """Parent-state reads and writes over list/dict-backed engine state,
+    one txid at a time (the python backend, and any configuration whose
+    stores are not all array-backed)."""
+
+    def __init__(self, engine: PlacementEngine) -> None:
+        self._engine = engine
+        self._placer = engine.placer
+        self._scorer = engine._scorer
+
+    def read(self, txids) -> ParentStates:
+        txids = txids.tolist()
+        scorer = self._scorer
+        assignment = self._placer._assignment
+        slots, spill = pack_masks(map(self._engine._remaining.get, txids))
+        columns: list = [txids, [assignment[txid] for txid in txids], slots]
+        if scorer is not None:
+            nnz, shard, mass = [], [], []
+            for txid in txids:
+                vector = scorer._p_prime[txid]
+                if vector is None:
+                    nnz.append(-1)
+                    continue
+                nnz.append(len(vector))
+                shard.extend(vector)
+                mass.extend(vector.values())
+            columns += [
+                [scorer._spender_count[txid] for txid in txids],
+                [scorer._min_mass[txid] for txid in txids],
+                # outdeg_mode="outputs": the divisor reads the parent's
+                # created-output count too.
+                None
+                if scorer._spenders_divisor
+                else [scorer._output_count[txid] for txid in txids],
+                mass,
+                nnz,
+                shard,
+            ]
+        return ParentStates(*columns, spill=spill)
+
+    def install(self, states: ParentStates, horizon: int) -> None:
+        txids = states.txids.tolist()
+        assignment = self._placer._assignment
+        for txid, shard in zip(txids, states.assignment.tolist()):
+            assignment[txid] = shard
+        scorer = self._scorer
+        if scorer is not None:
+            shards = states.shard.tolist()
+            if shards and not 0 <= min(shards) <= max(shards) < scorer.n_shards:
+                raise EngineError("parent vector names an unknown shard")
+            outputs = (
+                None
+                if scorer._spenders_divisor
+                else states.output_count.tolist()
+            )
+            for row, (txid, vector, count, mass) in enumerate(
+                zip(
+                    txids,
+                    states.vectors(),
+                    states.spender_count.tolist(),
+                    states.min_mass.tolist(),
+                )
+            ):
+                if txid < horizon:
+                    continue
+                scorer._p_prime[txid] = vector
+                scorer._spender_count[txid] = count
+                scorer._min_mass[txid] = mass
+                if outputs is not None:
+                    scorer._output_count[txid] = outputs[row]
+        remaining = self._engine._remaining
+        for txid, mask in zip(txids, states.masks()):
+            if mask and txid >= horizon:
+                remaining[txid] = mask
+
+    def collect(self, states: ParentStates, horizon: int) -> Writebacks:
+        scorer = self._scorer
+        remaining = self._engine._remaining
+        old_counts = (
+            states.spender_count.tolist()
+            if scorer is not None
+            else [0] * len(states)
+        )
+        changed = []
+        for txid, mask, old_count in zip(
+            states.txids.tolist(), states.masks(), old_counts
+        ):
+            # Behind the horizon only the assignment installed, and a
+            # parent unknown or fully spent at its owner is unspendable
+            # (spender counts only advance on accepted spends).
+            if txid < horizon or not mask:
+                continue
+            new_mask = remaining.get(txid, 0)
+            new_count = (
+                scorer._spender_count[txid] if scorer is not None else 0
+            )
+            if new_mask != mask or new_count != old_count:
+                changed.append((txid, new_count, new_mask))
+        if not changed:
+            return Writebacks()
+        txids, counts, masks = zip(*changed)
+        slots, spill = pack_masks(masks)
+        return Writebacks(txids, counts, slots, spill=spill)
+
+    def uninstall(self, states: ParentStates) -> None:
+        placer = self._placer
+        scorer = self._scorer
+        remaining = self._engine._remaining
+        for txid in states.txids.tolist():
+            placer._assignment[txid] = 0
+            if scorer is not None:
+                # The epoch sweep is excluded from installs, so setting
+                # the slot back to None never double-counts a release.
+                scorer._p_prime[txid] = None
+                scorer._spender_count[txid] = 0
+                scorer._min_mass[txid] = _INF
+                if not scorer._spenders_divisor:
+                    scorer._output_count[txid] = 1
+            remaining.pop(txid, None)
+
+    def apply(self, updates: Writebacks) -> None:
+        scorer = self._scorer
+        remaining = self._engine._remaining
+        collect = self._engine._collect_spent
+        for txid, count, mask in zip(
+            updates.txids.tolist(),
+            updates.spender_count.tolist(),
+            updates.masks(),
+        ):
+            if scorer is not None:
+                scorer._spender_count[txid] = count
+            if mask:
+                remaining[txid] = mask
+            else:
+                remaining.pop(txid, None)
+                if collect:
+                    scorer.release_vector(txid)
+
+
+class _ArrayOps(_ListOps):
+    """The same operations when every store is array-backed
+    (:mod:`repro.core.backends.arrays`): one gather / scatter / reset
+    per array, the frame's columns moving as they are."""
+
+    @staticmethod
+    def fits(engine: PlacementEngine) -> bool:
+        scorer = engine._scorer
+        stores = [engine.placer._assignment, engine._remaining]
+        if scorer is not None:
+            if not scorer._spenders_divisor:
+                # outdeg_mode="outputs" keeps its output counts in a
+                # plain list on every backend.
+                return False
+            stores += [scorer._p_prime, scorer._spender_count, scorer._min_mass]
+        return all(hasattr(store, "gather") for store in stores)
+
+    def __init__(self, engine: PlacementEngine) -> None:
+        super().__init__(engine)
+        import numpy
+
+        self._np = numpy
+
+    def read(self, txids) -> ParentStates:
+        scorer = self._scorer
+        slots, spill = self._engine._remaining.gather(txids)
+        columns = [txids, self._placer._assignment.gather(txids), slots]
+        if scorer is not None:
+            nnz, shard, mass = scorer._p_prime.gather(txids)
+            columns += [
+                scorer._spender_count.gather(txids),
+                scorer._min_mass.gather(txids),
+                None,
+                mass,
+                nnz,
+                shard,
+            ]
+        return ParentStates(*columns, spill=spill)
+
+    def install(self, states: ParentStates, horizon: int) -> None:
+        np = self._np
+        txids = np.asarray(states.txids)
+        self._placer._assignment.scatter(txids, states.assignment)
+        inside = txids >= horizon
+        scorer = self._scorer
+        if scorer is not None:
+            try:
+                scorer._p_prime.scatter(
+                    txids, states.nnz, states.shard, states.mass
+                )
+            except ValueError as exc:
+                raise EngineError(f"parent {exc}")
+            scorer._spender_count.scatter(txids, states.spender_count)
+            scorer._min_mass.scatter(txids, states.min_mass)
+            if not inside.all():
+                self._reset_scorer(txids[~inside])
+        slots = np.asarray(states.mask)
+        keep = inside & (slots != 0)
+        spill = states.spill
+        if spill:
+            wide = inside[slots == MASK_SPILL].tolist()
+            spill = [mask for mask, kept in zip(spill, wide) if kept]
+        self._engine._remaining.scatter(txids[keep], slots[keep], spill)
+
+    def _reset_scorer(self, txids) -> None:
+        scorer = self._scorer
+        scorer._p_prime.reset(txids)
+        scorer._spender_count.scatter(txids, 0)
+        scorer._min_mass.scatter(txids, _INF)
+
+    def collect(self, states: ParentStates, horizon: int) -> Writebacks:
+        np = self._np
+        scorer = self._scorer
+        txids = np.asarray(states.txids)
+        old = np.asarray(states.mask)
+        new, new_spill = self._engine._remaining.gather(txids)
+        changed = new != old
+        if scorer is not None:
+            counts = scorer._spender_count.gather(txids)
+            changed |= counts != np.asarray(states.spender_count)
+        else:
+            counts = np.zeros(len(txids), dtype=np.int64)
+        wide = np.flatnonzero(new == MASK_SPILL).tolist()
+        if wide:
+            # Two spilled slots compare equal; their exact masks decide.
+            before = dict(
+                zip(np.flatnonzero(old == MASK_SPILL).tolist(), states.spill)
+            )
+            for row, mask in zip(wide, new_spill):
+                if before.get(row) != mask:
+                    changed[row] = True
+        changed &= (old != 0) & (txids >= horizon)
+        return Writebacks(
+            txids[changed],
+            counts[changed],
+            new[changed],
+            spill=[mask for row, mask in zip(wide, new_spill) if changed[row]],
+        )
+
+    def uninstall(self, states: ParentStates) -> None:
+        txids = states.txids
+        self._placer._assignment.scatter(txids, 0)
+        if self._scorer is not None:
+            self._reset_scorer(txids)
+        self._engine._remaining.reset(txids)
+
+    def apply(self, updates: Writebacks) -> None:
+        np = self._np
+        scorer = self._scorer
+        remaining = self._engine._remaining
+        txids = np.asarray(updates.txids)
+        slots = np.asarray(updates.mask)
+        if scorer is not None:
+            scorer._spender_count.scatter(txids, updates.spender_count)
+        spent = slots == 0
+        remaining.scatter(txids[~spent], slots[~spent], updates.spill)
+        if spent.any():
+            gone = txids[spent]
+            remaining.reset(gone)
+            if self._engine._collect_spent:
+                scorer.release_vectors(gone.tolist())
+
+
+def _extend_fill(store, count: int, fill) -> None:
+    """Append ``count`` placeholder slots: array-backed stores grow
+    once and slice-fill."""
+    bulk = getattr(store, "extend_fill", None)
+    if bulk is not None:
+        bulk(count, fill)
+    else:
+        store.extend([fill] * count)
 
 
 class EnginePartition:
@@ -149,6 +725,7 @@ class EnginePartition:
             proxy if isinstance(proxy, LoadProxyLatencyProvider) else None
         )
         self._rng = getattr(placer, "_rng", None)
+        self._ops = (_ArrayOps if _ArrayOps.fits(engine) else _ListOps)(engine)
         # Placeholder entries appended by pad_to; released_count is
         # corrected by this in stats() (pads are counted as released so
         # live_vector_count stays exact).
@@ -245,17 +822,17 @@ class EnginePartition:
     def place_batch(
         self,
         batch: Sequence[Transaction],
-        remote_parents: "dict[int, dict[str, Any]] | None" = None,
+        remote_parents: "ParentStates | None" = None,
         raw_segments: "Sequence[bytes] | None" = None,
-    ) -> tuple[list[int], list[dict[str, Any]]]:
+    ) -> tuple[list[int], Writebacks]:
         """Place one owned batch; returns ``(shards, writebacks)``.
 
-        ``remote_parents`` must cover exactly
-        :meth:`parents_needed` (states fetched from the owners via
-        :meth:`read_parents`). The installs are transient: on success
-        *and* on atomic reject the local arrays return to placeholder
-        state, so a failed batch leaves both this partition and every
-        owner byte-identical to before the call.
+        ``remote_parents`` must cover exactly :meth:`parents_needed`
+        (states fetched from the owners via :meth:`read_parents`;
+        anything empty means none). The installs are transient: on
+        success *and* on atomic reject the local arrays return to
+        placeholder state, so a failed batch leaves both this partition
+        and every owner byte-identical to before the call.
 
         ``raw_segments`` are the wire-format place payloads the batch
         was coalesced from, passed through to the write-ahead journal
@@ -264,6 +841,7 @@ class EnginePartition:
         the coordinator's boundary splitter produces.
         """
         wire_batch = isinstance(batch, WireBatch)
+        states = remote_parents or _NO_STATES
         if self.journal is not None and batch:
             if raw_segments is None:
                 if wire_batch:
@@ -275,38 +853,35 @@ class EnginePartition:
             # Append *before* placing: the journal stays a superset of
             # externally visible state, and a deterministic reject
             # simply re-fails (as a no-op) on replay.
-            self.journal.append_batch(
-                raw_segments, remote_parents or {}
-            )
+            self.journal.append_batch(raw_segments, states)
+        engine = self._engine
+        place = engine.place_wire_batch if wire_batch else engine.place_batch
         if self.n_partitions == 1:
-            if wire_batch:
-                return self._engine.place_wire_batch(batch), []
-            return self._engine.place_batch(batch), []
+            return place(batch), _NO_WRITEBACKS
         if batch:
             self.pad_to(batch.first_txid if wire_batch else batch[0].txid)
-        states = remote_parents or {}
-        self._install(states)
+        if not states:
+            return place(batch), _NO_WRITEBACKS
+        installed = states.txids.tolist()
+        if not 0 <= min(installed) <= max(installed) < self.n_placed or (
+            states.nnz is None
+        ) != (self._scorer is None):
+            raise EngineError(
+                f"partition {self.partition_id} cannot install these "
+                "parent states (txids beyond its cursor, or another "
+                "strategy's columns)"
+            )
         try:
-            if wire_batch:
-                shards = self._engine.place_wire_batch(
-                    batch, _exclude_release=states.keys()
-                )
-            else:
-                shards = self._engine.place_batch(
-                    batch, _exclude_release=states.keys()
-                )
-        except EngineError:
-            self._uninstall(states)
-            raise
-        except Exception:
-            # The engine poisoned itself; the install is unwound so
-            # owners stay consistent, but this partition refuses
-            # further service either way.
-            self._uninstall(states)
-            raise
-        writebacks = self._collect_writebacks(states)
-        self._uninstall(states)
-        return shards, writebacks
+            self._ops.install(states, engine.horizon_start)
+            shards = place(batch, _exclude_release=frozenset(installed))
+            # Read after the batch: a parent the batch pushed behind
+            # the horizon is the owner's to sweep, not a writeback.
+            return shards, self._ops.collect(states, engine.horizon_start)
+        finally:
+            # Unwound on success, on an atomic reject, and when the
+            # engine poisoned itself (owners stay consistent; this
+            # partition refuses further service either way).
+            self._ops.uninstall(states)
 
     def pad_to(self, cursor: int) -> None:
         """Extend the per-txid arrays with placeholders up to ``cursor``.
@@ -320,55 +895,49 @@ class EnginePartition:
         gap = cursor - placer.n_placed
         if gap <= 0:
             return
-        placer._assignment.extend([0] * gap)
+        _extend_fill(placer._assignment, gap, 0)
         scorer = self._scorer
         if scorer is not None:
-            scorer._p_prime.extend([None] * gap)
-            scorer._spender_count.extend([0] * gap)
-            scorer._min_mass.extend([_INF] * gap)
+            dead = getattr(scorer._p_prime, "extend_dead", None)
+            if dead is not None:
+                dead(gap)
+            else:
+                scorer._p_prime.extend([None] * gap)
+            _extend_fill(scorer._spender_count, gap, 0)
+            _extend_fill(scorer._min_mass, gap, _INF)
             if not scorer._spenders_divisor:
-                scorer._output_count.extend([1] * gap)
+                _extend_fill(scorer._output_count, gap, 1)
             # Count pads as released so live_vector_count stays exact.
             scorer._released += gap
         self._n_padded += gap
 
     # -- the owner (read/writeback) path -----------------------------------
 
-    def read_parents(
-        self, txids: Sequence[int]
-    ) -> dict[int, dict[str, Any]]:
-        """State of owned parents, for installation by the active
-        partition. A ``mask`` of ``None`` means unknown or fully spent -
-        the active side will reject a spend of it with the exact error
-        the monolithic engine raises."""
-        placer = self._placer
-        scorer = self._scorer
-        remaining = self._engine._remaining
-        states: dict[int, dict[str, Any]] = {}
+    def _check_held(self, txids: list[int]) -> None:
+        cursor = self._placer.n_placed
+        lease_length = self.lease_length
+        n_partitions = self.n_partitions
+        mine = self.partition_id
         for txid in txids:
-            if not self.owns_txid(txid) or txid >= placer.n_placed:
+            if (
+                not 0 <= txid < cursor
+                or (txid // lease_length) % n_partitions != mine
+            ):
                 raise EngineError(
                     f"partition {self.partition_id} does not hold "
                     f"transaction {txid}"
                 )
-            state: dict[str, Any] = {
-                "assignment": placer._assignment[txid],
-                "mask": remaining.get(txid),
-            }
-            if scorer is not None:
-                vector = scorer._p_prime[txid]
-                state["spender_count"] = scorer._spender_count[txid]
-                state["vector"] = None if vector is None else dict(vector)
-                state["min_mass"] = scorer._min_mass[txid]
-                if not scorer._spenders_divisor:
-                    # outdeg_mode="outputs": the divisor reads the
-                    # parent's created-output count too.
-                    state["output_count"] = scorer._output_count[txid]
-            states[txid] = state
-        return states
 
-    def apply_writebacks(self, updates: Sequence[dict[str, Any]]) -> None:
-        """Absorb the active partition's mutations to owned parents.
+    def read_parents(self, txids: Sequence[int]) -> ParentStates:
+        """State of owned parents (distinct txids), for installation by
+        the active partition."""
+        txids = _column("q", txids)
+        self._check_held(txids.tolist())
+        return self._ops.read(txids)
+
+    def apply_writebacks(self, updates: "Writebacks | Sequence") -> None:
+        """Absorb the active partition's mutations to owned parents
+        (anything empty means none).
 
         A mask of 0 means the parent is now fully spent: its unspent
         bookkeeping is dropped and (under the truncation policy) its
@@ -376,27 +945,12 @@ class EnginePartition:
         for exactness, since a fully-spent vector can never be read
         again on a valid stream.
         """
-        if self.journal is not None and updates:
+        if not updates:
+            return
+        if self.journal is not None:
             self.journal.append_apply(updates)
-        scorer = self._scorer
-        remaining = self._engine._remaining
-        collect = self._engine._collect_spent
-        for update in updates:
-            txid = update["txid"]
-            if not self.owns_txid(txid) or txid >= self._placer.n_placed:
-                raise EngineError(
-                    f"partition {self.partition_id} does not hold "
-                    f"transaction {txid}"
-                )
-            if scorer is not None:
-                scorer._spender_count[txid] = update["spender_count"]
-            mask = update["mask"]
-            if mask:
-                remaining[txid] = mask
-            else:
-                remaining.pop(txid, None)
-                if collect and scorer is not None:
-                    scorer.release_vector(txid)
+        self._check_held(updates.txids.tolist())
+        self._ops.apply(updates)
 
     # -- handoff -----------------------------------------------------------
 
@@ -520,87 +1074,6 @@ class EnginePartition:
                         remaining.pop(txid, None)
             lease += 1
         self._horizon_swept = new_start
-
-    # -- installs (internals) ----------------------------------------------
-
-    def _install(self, states: dict[int, dict[str, Any]]) -> None:
-        placer = self._placer
-        scorer = self._scorer
-        remaining = self._engine._remaining
-        horizon = self._engine.horizon_start
-        for txid, state in states.items():
-            placer._assignment[txid] = state["assignment"]
-            if txid < horizon:
-                # Behind the spend horizon the monolithic engine has
-                # released the vector and dropped the mask (zero
-                # ancestry signal, no validation) - whatever the owner
-                # still holds is masked off here, and catches up on the
-                # owner's next lease import. Only the assignment - the
-                # fitness rule's input-shard term - installs.
-                continue
-            if scorer is not None:
-                vector = state["vector"]
-                scorer._p_prime[txid] = (
-                    None if vector is None else dict(vector)
-                )
-                scorer._spender_count[txid] = state["spender_count"]
-                scorer._min_mass[txid] = state["min_mass"]
-                if not scorer._spenders_divisor:
-                    scorer._output_count[txid] = state["output_count"]
-            mask = state["mask"]
-            if mask:
-                remaining[txid] = mask
-
-    def _collect_writebacks(
-        self, states: dict[int, dict[str, Any]]
-    ) -> list[dict[str, Any]]:
-        scorer = self._scorer
-        remaining = self._engine._remaining
-        horizon = self._engine.horizon_start
-        writebacks: list[dict[str, Any]] = []
-        for txid, state in states.items():
-            if txid < horizon:
-                # Assignment-only install: nothing of the owner's
-                # mutable state was exposed, so nothing changed.
-                continue
-            mask = state["mask"]
-            if mask is None:
-                # Unknown/fully-spent at the owner: unspendable, and
-                # spender counts only advance on accepted spends.
-                continue
-            new_mask = remaining.get(txid, 0)
-            new_count = (
-                scorer._spender_count[txid] if scorer is not None else 0
-            )
-            old_count = (
-                state["spender_count"] if scorer is not None else 0
-            )
-            if new_mask == mask and new_count == old_count:
-                continue
-            writebacks.append(
-                {
-                    "txid": txid,
-                    "spender_count": new_count,
-                    "mask": new_mask,
-                }
-            )
-        return writebacks
-
-    def _uninstall(self, states: dict[int, dict[str, Any]]) -> None:
-        placer = self._placer
-        scorer = self._scorer
-        remaining = self._engine._remaining
-        for txid in states:
-            placer._assignment[txid] = 0
-            if scorer is not None:
-                # The epoch sweep is excluded from installs, so setting
-                # the slot back to None never double-counts a release.
-                scorer._p_prime[txid] = None
-                scorer._spender_count[txid] = 0
-                scorer._min_mass[txid] = _INF
-                if not scorer._spenders_divisor:
-                    scorer._output_count[txid] = 1
-            remaining.pop(txid, None)
 
     # -- checkpoint / stats ------------------------------------------------
 

@@ -42,8 +42,10 @@ from repro.service.journal import (
 )
 from repro.service.partition import (
     EnginePartition,
-    decode_parent_states,
-    encode_parent_states,
+    ParentStates,
+    Writebacks,
+    txids_from_bytes,
+    txids_to_bytes,
 )
 from repro.service.sequencer import (
     RunFailed,
@@ -58,6 +60,7 @@ from repro.service.wire import (
     WireBatch,
     decode_response,
     encode_error_response,
+    encode_frame,
     encode_response_for,
 )
 from repro.utxo.transaction import Transaction
@@ -193,15 +196,15 @@ class PlacementWorker:
         elif kind == ch.W_GRANT:
             response = await self._handle_grant(payload)
         elif kind == ch.W_READ:
-            body = ch.parse_json_payload(payload)
+            txids = txids_from_bytes(payload)
             async with self._engine_lock:
-                states = self._partition.read_parents(body["txids"])
-            response = {"ok": True, "states": encode_parent_states(states)}
+                states = self._partition.read_parents(txids)
+            return encode_frame(ch.STATUS_FRAME, request_id, states.to_bytes())
         elif kind == ch.W_APPLY:
-            body = ch.parse_json_payload(payload)
+            updates = Writebacks.from_bytes(payload)
             async with self._engine_lock:
-                self._partition.apply_writebacks(body["updates"])
-            response = {"ok": True}
+                self._partition.apply_writebacks(updates)
+            return ch.ack(request_id)
         elif kind == ch.W_STATS:
             async with self._engine_lock:
                 journal = self._partition.journal
@@ -365,12 +368,13 @@ class PlacementWorker:
                 )
             await asyncio.sleep(0)
 
-    async def _ask_coordinator(self, kind: int, body: dict) -> dict:
+    async def _ask_coordinator(
+        self, kind: int, payload: bytes
+    ) -> tuple[int, bytes]:
         try:
-            reply = await self.channel.request(kind, ch.json_payload(body))
+            return await self.channel.request(kind, payload)
         except ChannelClosed:
             raise RunFailed("engine", "coordinator link lost")
-        return decode_response(*reply)
 
     async def _place_with_remotes(
         self,
@@ -381,13 +385,15 @@ class PlacementWorker:
         sequencer times it round-trips included: the latency a client's
         batch actually observes at this partition)."""
         partition = self._partition
+        metrics = self.metrics
         needed = partition.parents_needed(batch)
-        states: dict[int, dict[str, Any]] = {}
+        states = None
         if needed:
-            response = await self._ask_coordinator(
-                ch.W_ACQUIRE, {"txids": needed}
+            kind, payload = await self._ask_coordinator(
+                ch.W_ACQUIRE, txids_to_bytes(needed)
             )
-            if not response.get("ok"):
+            if kind != ch.STATUS_FRAME:
+                response = decode_response(kind, payload)
                 message = (
                     "cross-partition parent lookup failed: "
                     + response.get("error", "unknown error")
@@ -398,7 +404,12 @@ class PlacementWorker:
                     # resubmitted once it is back.
                     raise RunFailed("retry", message)
                 raise EngineError(message)
-            states = decode_parent_states(response["states"])
+            # Decoded as views over the reply; the journal stores the
+            # reply bytes themselves.
+            states = ParentStates.from_bytes(payload)
+            metrics.acquire_round_trips += 1
+            metrics.remote_parent_refs += len(needed)
+            metrics.parent_state_bytes += len(payload)
         shards, writebacks = partition.place_batch(
             batch, states, raw_segments=segments
         )
@@ -411,9 +422,9 @@ class PlacementWorker:
             # recovering owner (and degrades the service on a refusal),
             # so subsequent placements are refused; surfacing an error
             # here would mis-report this already-placed batch.
-            await self._ask_coordinator(
-                ch.W_WRITEBACK, {"updates": writebacks}
-            )
+            payload = writebacks.to_bytes()
+            metrics.writeback_bytes += len(payload)
+            await self._ask_coordinator(ch.W_WRITEBACK, payload)
         if self.faults is not None:
             self.faults.maybe_kill("writeback")
         return shards
@@ -462,7 +473,12 @@ async def _run_worker(
             or replay.torn_bytes
         ):
             recovery = {
-                "writebacks": replay.writebacks,
+                # The Writebacks frame, hex-armoured for the JSON hello.
+                "writebacks": (
+                    replay.writebacks.to_bytes().hex()
+                    if replay.writebacks
+                    else ""
+                ),
                 "n_batches": replay.n_batches,
                 "n_grants": replay.n_grants,
                 "n_applies": replay.n_applies,

@@ -265,6 +265,32 @@ class TestSharded:
                 )
                 # No checkpoint path: no WAL, and drift was not enabled.
                 assert obs["wal"] is None
+                # Every hand-off has a recorded price, and with one
+                # request in flight it is an exact function of the
+                # stream: one acquire per placed run that reads a parent
+                # another partition owns, one ref per distinct parent.
+                acquires = refs = 0
+                cuts = sorted({*range(0, 2_001, 250), 600, 1_200, 1_800})
+                for first, end in zip(cuts, cuts[1:]):
+                    foreign = {
+                        outpoint.txid
+                        for tx in stream[first:end]
+                        for outpoint in tx.inputs
+                        if outpoint.txid < first
+                        and outpoint.txid // 600 % 2 != first // 600 % 2
+                    }
+                    acquires += bool(foreign)
+                    refs += len(foreign)
+                metrics = obs["metrics"]
+                assert refs > 0
+                assert metrics["remote_parent_refs"] == refs
+                assert metrics["acquire_round_trips"] == acquires
+                # Per parent: 44 B of scalars + 12 B per vector entry
+                # (at most the 4 shards here), and its share of the
+                # frame's 16-byte header. JSON took ~394 B at k=16.
+                assert 44 < metrics["parent_state_bytes"] / refs <= 44 + 48 + 16
+                assert metrics["writeback_bytes"] > 0
+                assert metrics["writeback_bytes"] % 8 == 0
                 await client.close()
             finally:
                 await server.stop()

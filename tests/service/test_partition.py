@@ -16,7 +16,12 @@ from repro.core.placement import make_placer
 from repro.datasets.synthetic import synthetic_stream
 from repro.errors import EngineError
 from repro.service.engine import PlacementEngine
-from repro.service.partition import EnginePartition, owner_of
+from repro.service.partition import (
+    EnginePartition,
+    ParentStates,
+    Writebacks,
+    owner_of,
+)
 from repro.utxo.transaction import OutPoint, Transaction, TxOutput
 
 N_SHARDS = 4
@@ -83,22 +88,30 @@ class Harness:
             self.handoffs += 1
         partition = self.partitions[owner]
         needed = partition.parents_needed(sub)
-        states = {}
         by_owner = {}
         for parent in needed:
             by_owner.setdefault(self._owner(parent), []).append(parent)
-        for parent_owner, txids in by_owner.items():
+        # Everything crosses as bytes, the way the coordinator relays
+        # it: the owners' reply frames joined unparsed, the writebacks
+        # one frame split by owner.
+        sections = []
+        for parent_owner, txids in sorted(by_owner.items()):
             assert parent_owner != owner
-            states.update(
-                self.partitions[parent_owner].read_parents(txids)
+            sections.append(
+                self.partitions[parent_owner].read_parents(txids).to_bytes()
             )
             self.remote_reads += len(txids)
+        states = ParentStates.from_bytes(b"".join(sections))
+        assert sorted(states.txids.tolist()) == needed
         shards, writebacks = partition.place_batch(sub, states)
-        for update in writebacks:
-            self.partitions[self._owner(update["txid"])].apply_writebacks(
-                [update]
+        writebacks = Writebacks.from_bytes(writebacks.to_bytes())
+        for parent_owner, owned in writebacks.by_owner(
+            self.lease_length, self.n_partitions
+        ).items():
+            self.partitions[parent_owner].apply_writebacks(
+                Writebacks.from_bytes(owned.to_bytes())
             )
-            self.writebacks += 1
+            self.writebacks += len(owned)
         self.cursor = sub[-1].txid + 1
         return shards
 
@@ -250,7 +263,7 @@ class TestCrossPartitionEdges:
         # Partition 0 owns lease 0; partition 1 must be able to read
         # parents from it, and refuses txids it does not own.
         states = harness.partitions[0].read_parents([10, 11])
-        assert set(states) == {10, 11}
+        assert states.txids.tolist() == [10, 11]
         with pytest.raises(EngineError, match="does not hold"):
             harness.partitions[0].read_parents([LEASE])  # lease 1
         with pytest.raises(EngineError, match="does not hold"):
@@ -344,9 +357,7 @@ class TestCrossPartitionEdges:
         harness = Harness(2)
         harness.place(stream[:LEASE])
         with pytest.raises(EngineError, match="does not hold"):
-            harness.partitions[1].apply_writebacks(
-                [{"txid": 5, "spender_count": 1, "mask": 0}]
-            )
+            harness.partitions[1].apply_writebacks(Writebacks([5], [1], [0]))
 
 
 class TestHandoffState:
