@@ -798,6 +798,8 @@ def _cmd_stats_server(args, host: str, port: int) -> int:
         )
     if obs.get("rss_kb") is not None:
         row("rss", f"{obs['rss_kb'] / 1024.0:.1f} MiB")
+    if obs.get("rows_resident") is not None:
+        row("t2s rows", count(obs["rows_resident"]))
     return 0
 
 

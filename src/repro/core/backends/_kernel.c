@@ -19,12 +19,15 @@
  * else falls back to the per-transaction python loop in
  * numpy_backend.py.
  *
- * Dense-row representation: p'(v) vectors live as rows of an
- * (n_rows x n_shards) float64 matrix plus a live mask. Stored masses
- * are always > prune_epsilon > 0, so `row[shard] == 0.0` <=> "shard
- * absent from the sparse dict" and `live && isfinite(min_mass)` <=>
- * "vector is a non-empty dict" (placed vectors always hold their
- * alpha entry; released slots have live == 0).
+ * Dense-row representation: p'(v) vectors live as rows of an arena
+ * (n_rows x n_shards float64, the RowMatrix of arrays.py) addressed
+ * through a per-txid int32 slot column, -1 for a dead vector. Stored
+ * masses are always > prune_epsilon > 0, so `row[shard] == 0.0` <=>
+ * "shard absent from the sparse dict" and
+ * `slot >= 0 && isfinite(min_mass)` <=> "vector is a non-empty dict"
+ * (placed vectors always hold their alpha entry). The caller binds a
+ * zeroed arena row to every txid of the batch before the call, so the
+ * kernel never allocates rows itself.
  *
  * Error/capacity protocol: per-transaction commits are atomic. On an
  * invalid input the kernel stops *before* mutating anything for the
@@ -36,6 +39,23 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
+
+/* Wire columns (raw parents, indexes, output counts) are zero-copy
+ * views at arbitrary byte offsets of a frame; a typed dereference of a
+ * misaligned pointer is undefined behaviour, a memcpy load is one plain
+ * mov on x86-64 and arm64. */
+static inline int64_t load_i64(const int64_t *p) {
+    int64_t v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline int32_t load_i32(const int32_t *p) {
+    int32_t v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
 
 #define KERN_OK 0
 #define KERN_INVALID_INPUT 1
@@ -86,13 +106,13 @@ typedef struct {
     int64_t *scorer_sizes;   /* n_shards, T2SScorer._shard_sizes */
 
     /* -- scorer per-txid state (in/out, persistent numpy buffers) ------ */
-    double *pmat;            /* rows_cap * n_shards, row-major */
-    uint8_t *live;           /* rows_cap */
+    double *pmat;            /* arena rows * n_shards, row-major */
+    const int32_t *slot;     /* rows_cap: arena row per txid, -1 dead */
     double *min_mass;        /* rows_cap */
     int64_t *spender_count;  /* rows_cap */
     int64_t *assignment;     /* rows_cap */
     int64_t n_placed;
-    int64_t rows_cap;
+    int64_t rows_cap;        /* txids below it have a bound slot */
     /* scorer truncation scalars (in/out; untouched when cap < 0) */
     double dropped_mass;
     int64_t truncated_vectors;
@@ -515,18 +535,18 @@ int place_batch(KState *s) {
         int64_t n_raw;
         if (s->raw_parents) {
             /* One transaction's outpoints straight off the wire, not
-             * yet deduplicated. Keep first-appearance order - exactly
-             * what the python marshal's dict.fromkeys produces. Input
-             * counts are tiny, so the quadratic scan beats any hashing
-             * setup. */
+             * yet deduplicated, copied into aligned scratch. Keep
+             * first-appearance order - exactly what the python
+             * marshal's dict.fromkeys produces. Input counts are tiny,
+             * so the quadratic scan beats any hashing setup. */
             n_raw = n_par;
-            if (n_par > 1) {
+            if (n_par > 0) {
                 if (n_par > s->dedup_cap) {
                     return KERN_INTERNAL;
                 }
                 int64_t nd = 0;
                 for (int64_t p = 0; p < n_par; p++) {
-                    int64_t parent = par[p];
+                    int64_t parent = load_i64(par + p);
                     int dup = 0;
                     for (int64_t j = 0; j < nd; j++) {
                         if (s->dedup[j] == parent) {
@@ -559,10 +579,11 @@ int place_batch(KState *s) {
             }
             int64_t divisor = s->spender_count[parent] + 1;
             s->spender_count[parent] = divisor;
-            if (has_scale && s->live[parent] && isfinite(s->min_mass[parent])) {
+            if (has_scale && s->slot[parent] >= 0 &&
+                isfinite(s->min_mass[parent])) {
                 double factor = one_minus_alpha / (double)divisor;
                 bound = s->min_mass[parent] * factor;
-                const double *prow = s->pmat + parent * k;
+                const double *prow = s->pmat + (int64_t)s->slot[parent] * k;
                 if (has_eps && bound <= epsilon) {
                     bound = INFINITY;
                     for (int64_t shard = 0; shard < k; shard++) {
@@ -604,12 +625,14 @@ int place_batch(KState *s) {
             if (has_scale) {
                 for (int64_t p = 0; p < n_par; p++) {
                     int64_t parent = par[p];
-                    if (!(s->live[parent] && isfinite(s->min_mass[parent]))) {
+                    if (!(s->slot[parent] >= 0 &&
+                          isfinite(s->min_mass[parent]))) {
                         continue;
                     }
                     double factor =
                         one_minus_alpha / (double)s->spender_count[parent];
-                    const double *prow = s->pmat + parent * k;
+                    const double *prow =
+                        s->pmat + (int64_t)s->slot[parent] * k;
                     /* Per shard, contributions accumulate in parent
                      * order; the first contribution is `mass * factor`
                      * exactly (0.0 + m*f == m*f bitwise - masses are
@@ -653,14 +676,13 @@ int place_batch(KState *s) {
         if (cap >= 0 && nnz > cap) {
             truncate_support_dense(s, &nnz, &bound);
         }
-        /* Append: store the new row (rows are pre-zeroed). */
+        /* Append: store the new row (its bound arena row is zeroed). */
         {
-            double *row = s->pmat + txid * k;
+            double *row = s->pmat + (int64_t)s->slot[txid] * k;
             for (int64_t i = 0; i < nnz; i++) {
                 int64_t shard = s->touched[i];
                 row[shard] = s->raw[shard];
             }
-            s->live[txid] = 1;
             s->min_mass[txid] = bound;
             s->spender_count[txid] = 0;
         }
@@ -873,7 +895,7 @@ int place_batch(KState *s) {
 
         /* ---- commit ---- */
         {
-            double *row = s->pmat + txid * k;
+            double *row = s->pmat + (int64_t)s->slot[txid] * k;
             double new_mass = row[shard] + alpha;
             row[shard] = new_mass;
             if (new_mass < s->min_mass[txid]) s->min_mass[txid] = new_mass;
@@ -998,8 +1020,8 @@ int validate_batch(VState *s) {
         const int64_t i0 = s->in_off[t];
         const int64_t i1 = s->in_off[t + 1];
         for (int64_t i = i0; i < i1; i++) {
-            int64_t parent = s->parents[i];
-            int32_t index = s->indexes[i];
+            int64_t parent = load_i64(s->parents + i);
+            int32_t index = load_i32(s->indexes + i);
             /* A u64 wire txid past INT64_MAX arrives negative here;
              * python would compare it as a huge int and report it as
              * non-earlier, which is exactly this branch. */
@@ -1043,7 +1065,7 @@ int validate_batch(VState *s) {
                 delta -= 1;
             }
         }
-        int64_t n_out = (int64_t)s->n_outputs[t];
+        int64_t n_out = (int64_t)load_i32(s->n_outputs + t);
         if (n_out > 62 || n_out < 0) {
             rc = VALID_FALLBACK; /* mask would not fit inline */
             goto rollback;

@@ -165,8 +165,8 @@ class FloatVector(_TypedVector):
 
 
 class RowMatrix:
-    """Growable ``(rows, n_shards)`` float64 matrix exposed as a list of
-    sparse dicts.
+    """Per-txid T2S vectors in a ``(rows, n_shards)`` float64 arena,
+    exposed as a list of sparse dicts.
 
     Row ``i`` materializes as ``{shard: mass}`` over the nonzero entries
     (ascending shard id) when read, ``None`` when the row is dead.
@@ -180,61 +180,114 @@ class RowMatrix:
     ``dict.__eq__`` - what snapshot round-trip tests use - ignores
     order. This is exactly the backend-agnostic-state claim the
     cross-backend snapshot test pins down.
+
+    Layout: ``slot`` (int32, indexed by txid) names the arena row of
+    each live vector, -1 for a dead one; ``arr[:rows_resident]`` are the
+    arena rows handed out so far. Killing a vector pushes its row onto
+    a LIFO free stack (``_free[:rows_free]``) and a new vector pops one
+    before the arena extends, so the k-wide store is sized by the peak
+    number of live vectors, not by the txid count: dead and pad txids
+    cost 4 bytes of ``slot`` each. Zero-on-free invariant: every arena
+    row not bound to a live txid is all-zero (rows are zeroed when
+    freed, fresh arena storage is zeroed), so a recycled row starts
+    empty and the kernel can accumulate into it directly.
     """
 
-    __slots__ = ("arr", "live", "_n", "n_shards")
+    __slots__ = (
+        "arr", "slot", "_free", "_n", "rows_resident", "rows_free",
+        "n_shards",
+    )
 
     def __init__(self, n_shards: int, capacity: int = 1024) -> None:
         capacity = max(capacity, 1)
         self.n_shards = n_shards
         self.arr = np.zeros((capacity, n_shards), dtype=np.float64)
-        self.live = np.zeros(capacity, dtype=np.uint8)
-        self._n = 0
+        self._free = np.empty(capacity, dtype=np.int32)
+        self.slot = np.full(capacity, -1, dtype=np.int32)
+        self._n = self.rows_resident = self.rows_free = 0
 
     def _grow_to(self, needed: int) -> None:
-        cap = len(self.live)
+        """Make room for txids ``[0, needed)`` in the slot column."""
+        cap = len(self.slot)
         if needed <= cap:
             return
         while cap < needed:
             cap *= _GROW
-        arr = np.zeros((cap, self.n_shards), dtype=np.float64)
-        arr[: self._n] = self.arr[: self._n]
-        self.arr = arr
-        live = np.zeros(cap, dtype=np.uint8)
-        live[: self._n] = self.live[: self._n]
-        self.live = live
+        slot = np.full(cap, -1, dtype=np.int32)
+        slot[: self._n] = self.slot[: self._n]
+        self.slot = slot
+
+    def _take(self, count: int) -> np.ndarray:
+        """``count`` zeroed arena rows: popped off the free stack first,
+        then fresh rows past the arena top."""
+        popped = min(count, self.rows_free)
+        self.rows_free -= popped
+        rows = self._free[self.rows_free : self.rows_free + popped][::-1]
+        top = self.rows_resident + count - popped
+        cap = len(self.arr)
+        if top > cap:
+            while cap < top:
+                cap *= _GROW
+            arr = np.zeros((cap, self.n_shards), dtype=np.float64)
+            arr[: self.rows_resident] = self.arr[: self.rows_resident]
+            self.arr = arr
+            free = np.empty(cap, dtype=np.int32)
+            free[: self.rows_free] = self._free[: self.rows_free]
+            self._free = free
+        fresh = np.arange(self.rows_resident, top, dtype=np.int32)
+        self.rows_resident = top
+        return np.concatenate((rows, fresh))
+
+    def _give(self, rows: np.ndarray) -> None:
+        """Zero arena rows ``rows`` (distinct, unbound) and push them."""
+        self.arr[rows] = 0.0
+        end = self.rows_free + rows.size
+        self._free[self.rows_free : end] = rows
+        self.rows_free = end
+
+    def claim(self, start: int, stop: int) -> None:
+        """Bind zeroed rows to the dead txids ``[start, stop)`` past the
+        end, for the compiled kernel to write new vectors into; a
+        rejected batch hands back what it did not commit with
+        :meth:`reset`."""
+        self._grow_to(stop)
+        self.slot[start:stop] = self._take(stop - start)
 
     def _row_dict(self, index: int):
-        if not self.live[index]:
+        slot = self.slot[index]
+        if slot < 0:
             return None
-        row = self.arr[index]
+        row = self.arr[slot]
         hits = np.nonzero(row)[0]
         return {int(shard): float(row[shard]) for shard in hits}
 
     def _store(self, index: int, value) -> None:
-        row = self.arr[index]
-        row[:] = 0.0
+        slot = int(self.slot[index])
         if value is None:
-            self.live[index] = 0
+            if slot >= 0:
+                self.slot[index] = -1
+                self._give(np.array([slot], dtype=np.int32))
             return
+        if slot < 0:
+            slot = int(self._take(1)[0])
+            self.slot[index] = slot
+        else:
+            self.arr[slot] = 0.0
         if value:
-            row[list(value.keys())] = list(value.values())
-        self.live[index] = 1
+            self.arr[slot, list(value.keys())] = list(value.values())
 
     def append(self, value) -> None:
         self._grow_to(self._n + 1)
-        self._store(self._n, value)
         self._n += 1
+        self._store(self._n - 1, value)
 
     def extend(self, values) -> None:
         for value in values:
             self.append(value)
 
     def extend_dead(self, count: int) -> None:
-        """Append ``count`` dead rows: grow once, write nothing. Rows
-        past the end are all-zero and dead already - fresh and grown
-        storage is zeroed, and truncation and :meth:`reset` zero what
-        they drop - so pad rows stay untouched pages."""
+        """Append ``count`` dead rows: the slot column grows, no arena
+        row is bound (slots past the end are -1 already)."""
         self._grow_to(self._n + count)
         self._n += count
 
@@ -242,32 +295,44 @@ class RowMatrix:
         """Rows ``idx`` as CSR ``(nnz, shard, mass)``: ``nnz[i]`` is -1
         for a dead row, and each row's entries are in ascending shard
         order - the order :meth:`_row_dict` yields."""
-        idx = np.asarray(idx, dtype=np.intp)
-        rows = self.arr[idx]
+        slots = self.slot[np.asarray(idx, dtype=np.intp)]
+        live = slots >= 0
+        rows = self.arr[slots[live]]
         at_row, shard = np.nonzero(rows)
-        nnz = np.bincount(at_row, minlength=idx.size).astype(np.int32)
-        nnz[self.live[idx] == 0] = -1
+        nnz = np.full(slots.size, -1, dtype=np.int32)
+        nnz[live] = np.bincount(at_row, minlength=rows.shape[0])
         return nnz, shard.astype(np.int32), rows[at_row, shard]
 
     def scatter(self, idx, nnz, shard, mass) -> None:
         """Overwrite rows ``idx`` (distinct) from CSR, as
         :meth:`gather` lays it out."""
         idx = np.asarray(idx, dtype=np.intp)
-        nnz = np.asarray(nnz)
-        shard = np.asarray(shard)
+        nnz = np.asarray(nnz, dtype=np.intp)
+        shard = np.asarray(shard, dtype=np.intp)
         if shard.size and not 0 <= shard.min() <= shard.max() < self.n_shards:
             raise ValueError(
                 f"vector entry for a shard outside [0, {self.n_shards})"
             )
-        self.arr[idx] = 0.0
-        self.live[idx] = nnz >= 0
-        self.arr[np.repeat(idx, np.maximum(nnz, 0)), shard] = mass
+        live = nnz >= 0
+        self.reset(idx[~live])
+        idx, nnz = idx[live], nnz[live]
+        slots = self.slot[idx]
+        bound = slots >= 0
+        self.arr[slots[bound]] = 0.0
+        slots[~bound] = self._take(int(np.count_nonzero(~bound)))
+        self.slot[idx] = slots
+        self.arr[np.repeat(slots, nnz), shard] = mass
 
-    def reset(self, idx) -> None:
-        """Make rows ``idx`` dead."""
-        idx = np.asarray(idx, dtype=np.intp)
-        self.arr[idx] = 0.0
-        self.live[idx] = 0
+    def reset(self, idx) -> int:
+        """Make rows ``idx`` (distinct txids, or a slice) dead; returns
+        how many were live."""
+        if not isinstance(idx, slice):
+            idx = np.asarray(idx, dtype=np.intp)
+        slots = self.slot[idx]
+        rows = slots[slots >= 0]
+        self.slot[idx] = -1
+        self._give(rows)
+        return int(rows.size)
 
     def __len__(self) -> int:
         return self._n
@@ -289,13 +354,10 @@ class RowMatrix:
                     "row matrices only support full-slice assignment"
                 )
             values = list(value)
-            self._grow_to(len(values))
-            for i, item in enumerate(values):
-                self._store(i, item)
-            if len(values) < self._n:
-                self.arr[len(values) : self._n] = 0.0
-                self.live[len(values) : self._n] = 0
-            self._n = len(values)
+            self.arr[: self.rows_resident] = 0.0
+            self.slot[: self._n] = -1
+            self._n = self.rows_resident = self.rows_free = 0
+            self.extend(values)
             return
         if index < 0:
             index += self._n

@@ -53,7 +53,6 @@ VALID_FALLBACK = 4
 _c_double_p = ctypes.POINTER(ctypes.c_double)
 _c_int64_p = ctypes.POINTER(ctypes.c_int64)
 _c_int32_p = ctypes.POINTER(ctypes.c_int32)
-_c_uint8_p = ctypes.POINTER(ctypes.c_uint8)
 
 
 class KState(ctypes.Structure):
@@ -95,8 +94,11 @@ class KState(ctypes.Structure):
         ("max_size_val", ctypes.c_int64),
         ("scorer_sizes", _c_int64_p),
         # scorer per-txid state
+        # pmat is the RowMatrix arena; slot[txid] is the arena row of
+        # txid's vector (-1 dead). Free rows are all-zero, and the
+        # driver binds zeroed rows to the batch's txids before the call.
         ("pmat", _c_double_p),
-        ("live", _c_uint8_p),
+        ("slot", _c_int32_p),
         ("min_mass", _c_double_p),
         ("spender_count", _c_int64_p),
         ("assignment", _c_int64_p),

@@ -72,7 +72,6 @@ from repro.errors import EngineError, PlacementError
 _c_double_p = ctypes.POINTER(ctypes.c_double)
 _c_int64_p = ctypes.POINTER(ctypes.c_int64)
 _c_int32_p = ctypes.POINTER(ctypes.c_int32)
-_c_uint8_p = ctypes.POINTER(ctypes.c_uint8)
 
 
 def _dptr(arr: np.ndarray):
@@ -112,7 +111,8 @@ class _NumpyStateMixin:
             )
         # Same bits as `vector.get(shard, 0.0) + alpha`: an absent
         # shard reads as exactly 0.0 in the dense row.
-        row = self._p_prime.arr[txid]
+        mat = self._p_prime
+        row = mat.arr[mat.slot[txid]]
         value = row[shard] + self.alpha
         row[shard] = value
         min_mass = self._min_mass.arr
@@ -145,15 +145,12 @@ class _NumpyStateMixin:
             stop = int(np.argmax(bad)) if bad.any() else idx.size
             offender = int(idx[stop]) if stop < idx.size else None
             rows = sorted_unique(idx[:stop])
-        released = int(mat.live[rows].sum())
-        if released:
-            mat.arr[rows] = 0.0
-            mat.live[rows] = 0
-            if offender is None:
-                # The python loop adds to the counter only after the
-                # full iteration; an error skips the add even though
-                # the preceding vectors were dropped.
-                self._released += released
+        released = mat.reset(rows)
+        if offender is None:
+            # The python loop adds to the counter only after the full
+            # iteration; an error skips the add even though the
+            # preceding vectors were dropped.
+            self._released += released
         if offender is not None:
             # The error the per-txid loop raises (range before pending).
             if not 0 <= offender < n:
@@ -166,16 +163,14 @@ class _NumpyStateMixin:
 
     def support_stats(self) -> dict[str, Any]:
         mat = self._p_prime
-        n = len(mat)
-        live_mask = mat.live[:n] != 0
-        live = int(live_mask.sum())
-        if live:
-            nnz = np.count_nonzero(mat.arr[:n][live_mask], axis=1)
-            total_nnz = int(nnz.sum())
-            max_nnz = int(nnz.max())
-        else:
-            total_nnz = 0
-            max_nnz = 0
+        live = mat.rows_resident - mat.rows_free
+        total_nnz = max_nnz = 0
+        # Unbound arena rows are all-zero, so counting whole chunks is
+        # exact; 4096-row chunks bound the temporary to 4096 x k bytes.
+        for start in range(0, mat.rows_resident, 4096):
+            nnz = np.count_nonzero(mat.arr[start : start + 4096], axis=1)
+            total_nnz += int(nnz.sum())
+            max_nnz = max(max_nnz, int(nnz.max()))
         return {
             "live_vectors": live,
             "mean_nnz": (total_nnz / live) if live else 0.0,
@@ -184,6 +179,11 @@ class _NumpyStateMixin:
             "truncated_vectors": self._truncated_vectors,
             "support_cap": self.support_cap,
         }
+
+    @property
+    def rows_resident(self) -> int:
+        """Arena rows of the vector store, live plus recycled."""
+        return self._p_prime.rows_resident
 
 
 class NumpyT2SScorer(_NumpyStateMixin, T2SScorer):
@@ -347,7 +347,7 @@ class _KernelDriver:
         assignment: IntVector = placer._assignment
         n_placed = len(assignment)
         needed = n_placed + n_tx
-        mat._grow_to(needed)
+        mat.claim(n_placed, needed)
         min_mass._grow_to(needed)
         spender._grow_to(needed)
         assignment._grow_to(needed)
@@ -395,7 +395,7 @@ class _KernelDriver:
         st.min_size_count = placer._min_size_count
         st.max_size_val = placer._max_shard_size
         st.n_placed = n_placed
-        st.rows_cap = len(mat.live)
+        st.rows_cap = needed
         st.dropped_mass = scorer._dropped_mass
         st.truncated_vectors = scorer._truncated_vectors
         st.raw_parents = 1 if raw else 0
@@ -415,7 +415,7 @@ class _KernelDriver:
         st.strat_sizes = _iptr(self.strat_sizes)
         st.scorer_sizes = _iptr(self.scorer_sizes)
         st.pmat = _dptr(mat.arr)
-        st.live = mat.live.ctypes.data_as(_c_uint8_p)
+        st.slot = mat.slot.ctypes.data_as(_c_int32_p)
         st.min_mass = _dptr(min_mass.arr)
         st.spender_count = _iptr(spender.arr)
         st.assignment = _iptr(assignment.arr)
@@ -483,6 +483,8 @@ class _KernelDriver:
             scorer._dropped_mass = st.dropped_mass
             scorer._truncated_vectors = st.truncated_vectors
         new_n = st.n_placed
+        if new_n < needed:
+            mat.reset(slice(new_n, needed))  # rows a rejection left unused
         mat._n = new_n
         min_mass._n = new_n
         spender._n = new_n

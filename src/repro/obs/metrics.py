@@ -27,6 +27,7 @@ __all__ = [
     "merge_metric_dicts",
     "rss_kb",
     "service_families",
+    "t2s_rows_resident",
 ]
 
 #: Plain additive counters carried by every bundle (wire dict keys).
@@ -236,10 +237,10 @@ def service_families(
 
     ``info`` labels the deployment (``spec``, ``mode``, ``workers``);
     ``partitions`` carries one dict per partition with optional
-    ``engine`` (stats dict), ``metrics``, ``wal``, ``drift``, and
-    ``rss_kb`` entries; ``coordinator`` carries front-end counters and
-    lease/health gauges in sharded mode. Single-process servers pass
-    one partition and no coordinator.
+    ``engine`` (stats dict), ``metrics``, ``wal``, ``drift``,
+    ``rss_kb`` and ``rows_resident`` entries; ``coordinator`` carries
+    front-end counters and lease/health gauges in sharded mode.
+    Single-process servers pass one partition and no coordinator.
     """
     latency = Family(
         "repro_batch_latency_seconds",
@@ -340,6 +341,13 @@ def service_families(
                 entry["rss_kb"],
                 process=f"worker-{label}",
             )
+        if entry.get("rows_resident") is not None:
+            gauge(
+                "repro_t2s_rows_resident",
+                "T2S arena rows resident (live plus recycled)",
+                entry["rows_resident"],
+                partition=label,
+            )
     if len(latency_dicts) > 1:
         merged = LogHistogram.merged(latency_dicts)
         latency.add_histogram(merged, partition="all")
@@ -389,3 +397,8 @@ def rss_kb() -> "int | None":
     except (OSError, ValueError, IndexError):
         return None
     return None
+
+
+def t2s_rows_resident(engine) -> "int | None":
+    """``engine.stats().rows_resident`` in O(1), for every scrape."""
+    return getattr(getattr(engine.placer, "scorer", None), "rows_resident", None)

@@ -1118,10 +1118,13 @@ class ShardedPlacementServer(PlacementServer):
             slim = dict(entry)
             slim.pop("engine", None)
             per_partition.append(slim)
+        rows = [entry.get("rows_resident") for entry in obs_entries]
+        rows = [count for count in rows if count is not None]
         return {
             "metrics": merge_metric_dicts(metric_dicts),
             "wal": merged_wal,
             "rss_kb": rss_kb(),
+            "rows_resident": sum(rows) if rows else None,
             "drift": (
                 merge_drift_dicts(drift_dicts) if drift_dicts else None
             ),
@@ -1152,6 +1155,7 @@ class ShardedPlacementServer(PlacementServer):
                 "wal": entry.get("wal"),
                 "drift": entry.get("drift"),
                 "rss_kb": entry.get("rss_kb"),
+                "rows_resident": entry.get("rows_resident"),
             }
             for index, entry in enumerate(obs_entries)
         ]

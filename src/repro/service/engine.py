@@ -82,6 +82,11 @@ class EngineStats:
     #: :class:`repro.core.spec.StrategySpec`); feeding it back to
     #: ``make_placer`` reproduces this engine's placer configuration.
     spec: str = ""
+    #: Arena rows the numpy T2S store holds, live plus recycled (None
+    #: for list-backed stores) - its exact k-wide memory. Layout, not
+    #: state: :meth:`as_dict` is compared across backends, so this
+    #: travels in the stats reply's ``obs`` sidecar instead.
+    rows_resident: int | None = None
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-friendly dump (the server's ``stats`` op)."""
@@ -264,6 +269,7 @@ class PlacementEngine:
             support=(
                 scorer.support_stats() if scorer is not None else None
             ),
+            rows_resident=getattr(scorer, "rows_resident", None),
         )
 
     # -- the serving hot path ----------------------------------------------

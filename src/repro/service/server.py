@@ -47,7 +47,9 @@ import json
 from typing import Any
 
 from repro.errors import EngineError, ProtocolError
-from repro.obs.metrics import ServiceMetrics, rss_kb, service_families
+from repro.obs.metrics import (
+    ServiceMetrics, rss_kb, service_families, t2s_rows_resident,
+)
 from repro.obs.prom import MetricsServer, render_families
 from repro.service.engine import PlacementEngine
 from repro.service.sequencer import (
@@ -454,6 +456,7 @@ class PlacementServer:
             "metrics": self.metrics.as_dict(),
             "wal": None,
             "rss_kb": rss_kb(),
+            "rows_resident": t2s_rows_resident(self._engine),
             "drift": monitor.as_dict() if monitor is not None else None,
         }
 
@@ -477,6 +480,7 @@ class PlacementServer:
                         monitor.as_dict() if monitor is not None else None
                     ),
                     "rss_kb": rss_kb(),
+                    "rows_resident": t2s_rows_resident(self._engine),
                 }
             ],
         )

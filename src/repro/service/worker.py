@@ -31,7 +31,7 @@ import os
 from typing import Any
 
 from repro.errors import EngineError, ProtocolError
-from repro.obs.metrics import ServiceMetrics, rss_kb
+from repro.obs.metrics import ServiceMetrics, rss_kb, t2s_rows_resident
 from repro.service import channel as ch
 from repro.service.channel import ChannelClosed, FrameChannel
 from repro.service.engine import PlacementEngine
@@ -218,6 +218,9 @@ class PlacementWorker:
                             journal.stats() if journal is not None else None
                         ),
                         "rss_kb": rss_kb(),
+                        "rows_resident": t2s_rows_resident(
+                            self._partition.engine
+                        ),
                         "drift": (
                             monitor.as_dict() if monitor is not None else None
                         ),

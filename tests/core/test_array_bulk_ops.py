@@ -71,9 +71,10 @@ class TestRowMatrix:
         target.scatter(idx, nnz, shard, mass)
         for row in range(len(rows)):
             assert target[row] == (rows[row] if row in idx else {0: 9.0})
+        slot = int(target.slot[idx[0]])
         target.reset(idx[:1])
-        assert target[idx[0]] is None
-        assert not target.arr[idx[0]].any()
+        assert target[idx[0]] is None and target.slot[idx[0]] == -1
+        assert slot < 0 or not target.arr[slot].any()  # zeroed on free
 
     def test_scatter_refuses_unknown_shards(self):
         matrix = RowMatrix(K)
@@ -86,13 +87,14 @@ class TestRowMatrix:
         matrix = RowMatrix(K, capacity=4)
         matrix.extend([{1: 0.5}, {2: 0.25}, {3: 0.125}])
         matrix[:] = [{0: 1.0}]  # truncation zeroes what it drops
-        matrix.extend_dead(5_000)  # and growth copies only live rows
+        matrix.extend_dead(5_000)  # pads bind no arena row
         assert len(matrix) == 5_001
         assert matrix[0] == {0: 1.0}
         assert all(matrix[row] is None for row in (1, 2, 3, 4, 5_000))
-        assert not matrix.arr[1:5_001].any() and not matrix.live[1:5_001].any()
+        assert (matrix.slot[1:5_001] == -1).all() and not matrix.arr[1:].any()
+        assert matrix.rows_resident == 1 and len(matrix.arr) == 4
         matrix.append({2: 0.5})
-        assert matrix[5_001] == {2: 0.5}
+        assert matrix[5_001] == {2: 0.5} and matrix.rows_resident == 2
 
 
 class TestMaskMap:

@@ -20,6 +20,12 @@ N_SHARDS = 4
 SPEC = {"method": "optchain", "n_shards": N_SHARDS, "epoch_length": 500}
 
 
+#: ``repro_t2s_rows_resident`` after the fixture stream on a numpy
+#: engine: the arena's high-water, above the live count it ends at.
+RECORDED_ROWS_RESIDENT = 2_095
+RECORDED_LIVE_VECTORS = 1_925
+
+
 @pytest.fixture(scope="module")
 def stream():
     return synthetic_stream(3_000, seed=7)
@@ -120,6 +126,43 @@ class TestSingleProcess:
                 await server.stop()
 
         asyncio.run(scenario())
+
+    def test_t2s_rows_resident_gauge_is_exact(self, stream):
+        """The numpy store's arena occupancy for one fixed single-client
+        stream: a recorded value, identical on a second server."""
+        pytest.importorskip("numpy")
+
+        async def scrape_once():
+            engine = PlacementEngine(
+                make_placer("optchain", N_SHARDS, backend="numpy"),
+                epoch_length=500,
+            )
+            server = PlacementServer(engine, port=0, metrics_port=0)
+            await server.start()
+            try:
+                client = await AsyncBinaryPlacementClient.connect(
+                    port=server.port
+                )
+                for offset in range(0, len(stream), 250):
+                    await client.place(stream[offset : offset + 250])
+                families = await scrape_metrics(
+                    "127.0.0.1", server.metrics_port
+                )
+                reply = await client.request({"op": "stats"})
+                await client.close()
+            finally:
+                await server.stop()
+            rows = sample_value(
+                families, "repro_t2s_rows_resident", partition="0"
+            )
+            assert rows == reply["obs"]["rows_resident"]
+            assert rows == engine.stats().rows_resident
+            assert "rows_resident" not in reply["stats"]
+            return rows, reply["stats"]["live_vectors"]
+
+        first = asyncio.run(scrape_once())
+        assert first == (RECORDED_ROWS_RESIDENT, RECORDED_LIVE_VECTORS)
+        assert asyncio.run(scrape_once()) == first
 
     def test_metrics_port_off_by_default(self):
         async def scenario():
