@@ -7,9 +7,10 @@ paper's abstract leads with: the cross-shard transaction fraction (up to
 
 Strategies are named by spec strings (``repro.api.StrategySpec``):
 ``"optchain"`` picks the fastest available execution backend
-(``backend=auto`` resolves to the vectorized backend when numpy is
-installed - ``pip install .[fast]`` - and the pure-python golden path
-otherwise; placements are bit-identical either way).
+(``backend=auto`` resolves to the vectorized backend - numpy plus the
+compiled kernel, ``pip install .[fast]`` and a C compiler - and to the
+pure-python golden path otherwise; placements are bit-identical either
+way).
 
 Run::
 

@@ -614,6 +614,16 @@ def _cmd_simulate(args) -> int:
     from repro.simulator import SimulationConfig, run_simulation
 
     spec = _build_spec(args)
+    # The simulator swaps in its live latency observer, which only the
+    # python backend scores (numpy is the fused load-proxy kernel).
+    if spec.backend == "numpy":
+        print(
+            "error: simulate needs backend=python (live latency observer)",
+            file=sys.stderr,
+            flush=True,
+        )
+        raise SystemExit(2)
+    spec = spec.with_backend("python")
     stream = synthetic_stream(args.transactions, seed=args.seed)
     placer = _make_placer_or_exit(spec, args.shards)
     config = SimulationConfig(

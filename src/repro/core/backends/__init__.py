@@ -3,16 +3,16 @@
 The default backend is the pure-python fused hot path in
 :mod:`repro.core.optchain` - always present, always the golden
 reference. This package adds a ``numpy`` backend: typed-array scorer
-state plus a small compiled kernel for the fused batch loop,
+state driven by a small compiled kernel for the fused batch loop,
 bit-identical to the python path and selected per-strategy through
 :class:`repro.core.spec.StrategySpec` (``backend=numpy``) or
 ``make_placer(..., backend="numpy")``.
 
-numpy is an *optional* dependency (``pip install repro-optchain[fast]``)
-and the kernel needs a C compiler on first use; when either is missing
-:func:`backend_available` reports why and spec resolution either falls
-back (``backend=auto``) or raises a configuration error
-(``backend=numpy``).
+The numpy backend *is* the compiled kernel: it needs numpy (an
+optional dependency, ``pip install repro-optchain[fast]``) and a C
+compiler on first use. When either is missing :func:`backend_available`
+reports why and spec resolution either falls back (``backend=auto``)
+or raises a configuration error (``backend=numpy``).
 """
 
 from __future__ import annotations
@@ -32,15 +32,18 @@ def backend_available(name: str) -> bool:
 def backend_unavailable_reason(name: str) -> str | None:
     """Why ``name`` cannot be used (``None`` when it can).
 
-    ``python`` is always available. ``numpy`` needs the numpy package;
-    the compiled kernel is *not* required (strategies fall back to the
-    generic per-transaction loop over typed-array state when the
-    kernel cannot be built, slower but identical).
+    ``python`` is always available. ``numpy`` needs the numpy package
+    and the compiled kernel (built on first use; see
+    :mod:`repro.core.backends.ckernel`).
     """
     if name == "python":
         return None
     if name == "numpy":
-        return _numpy_error
+        if _numpy_error is not None:
+            return _numpy_error
+        from repro.core.backends.ckernel import kernel_unavailable_reason
+
+        return kernel_unavailable_reason()
     return f"unknown backend {name!r} (expected 'python' or 'numpy')"
 
 

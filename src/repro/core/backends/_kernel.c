@@ -15,9 +15,14 @@
  *
  * The kernel only ever runs for the configuration the python fused
  * path accepts (offline load proxy, shard_load mode, spenders
- * divisor, prune_epsilon > 0, fused-compatible scorer); everything
- * else falls back to the per-transaction python loop in
- * numpy_backend.py.
+ * divisor, prune_epsilon > 0, fused-compatible scorer); the numpy
+ * backend refuses every other configuration at construction, so there
+ * is no second loop to fall back to.
+ *
+ * Input: one raw-outpoint CSR (parent txid per outpoint, per-tx
+ * offsets) - the wire decoder's zero-copy columns or the object
+ * marshal of numpy_backend.py, which produce the same arrays. Parents
+ * are deduplicated here, per transaction, in first-appearance order.
  *
  * Dense-row representation: p'(v) vectors live as rows of an arena
  * (n_rows x n_shards float64, the RowMatrix of arrays.py) addressed
@@ -119,9 +124,8 @@ typedef struct {
 
     /* -- batch input (read-only) --------------------------------------- */
     int64_t n_tx;
-    const int64_t *parents;      /* deduped, first-appearance order */
+    const int64_t *parents;      /* raw outpoint txids, possibly unaligned */
     const int64_t *par_off;      /* n_tx + 1 */
-    const int32_t *n_outpoints;  /* raw (pre-dedup) outpoint count */
 
     /* -- scratch (caller-allocated, n_shards-sized unless noted) ------- */
     double *raw;             /* dense p'(u) accumulator, zeroed */
@@ -133,17 +137,13 @@ typedef struct {
     int64_t *pb_ids;         /* zero-heap push-back, zero_cap-sized */
     double *pb_vals;         /* heap push-back, heap_cap-sized */
     int64_t *pb_idx;         /* heap push-back, heap_cap-sized */
+    int64_t *dedup;          /* one tx's deduped parents, dedup_cap */
+    int64_t dedup_cap;
 
     /* -- results ------------------------------------------------------- */
     int64_t n_done;          /* transactions fully committed this call */
     int64_t error_txid;
     int64_t error_parent;
-
-    /* -- raw-parents mode (wire / engine shared marshal) ---------------- */
-    int32_t raw_parents;     /* parents carry raw outpoint txids */
-    int32_t _pad0;
-    int64_t *dedup;          /* scratch: one tx's deduped parents */
-    int64_t dedup_cap;
 } KState;
 
 /* ---------------------------------------------------------------------
@@ -532,37 +532,33 @@ int place_batch(KState *s) {
         int64_t p1 = s->par_off[t + 1];
         const int64_t *par = s->parents + p0;
         int64_t n_par = p1 - p0;
-        int64_t n_raw;
-        if (s->raw_parents) {
-            /* One transaction's outpoints straight off the wire, not
-             * yet deduplicated, copied into aligned scratch. Keep
-             * first-appearance order - exactly what the python
-             * marshal's dict.fromkeys produces. Input counts are tiny,
-             * so the quadratic scan beats any hashing setup. */
-            n_raw = n_par;
-            if (n_par > 0) {
-                if (n_par > s->dedup_cap) {
-                    return KERN_INTERNAL;
-                }
-                int64_t nd = 0;
-                for (int64_t p = 0; p < n_par; p++) {
-                    int64_t parent = load_i64(par + p);
-                    int dup = 0;
-                    for (int64_t j = 0; j < nd; j++) {
-                        if (s->dedup[j] == parent) {
-                            dup = 1;
-                            break;
-                        }
-                    }
-                    if (!dup) {
-                        s->dedup[nd++] = parent;
-                    }
-                }
-                par = s->dedup;
-                n_par = nd;
+        /* The recurrence branches on the raw outpoint count, the
+         * argmax seeding on the deduplicated parents. Dedup into
+         * aligned scratch keeping first-appearance order - what
+         * Transaction.input_txids (dict.fromkeys) produces. Input
+         * counts are tiny, so the quadratic scan beats any hashing
+         * setup. */
+        const int64_t n_raw = n_par;
+        if (n_par > 0) {
+            if (n_par > s->dedup_cap) {
+                return KERN_INTERNAL;
             }
-        } else {
-            n_raw = s->n_outpoints[t];
+            int64_t nd = 0;
+            for (int64_t p = 0; p < n_par; p++) {
+                int64_t parent = load_i64(par + p);
+                int dup = 0;
+                for (int64_t j = 0; j < nd; j++) {
+                    if (s->dedup[j] == parent) {
+                        dup = 1;
+                        break;
+                    }
+                }
+                if (!dup) {
+                    s->dedup[nd++] = parent;
+                }
+            }
+            par = s->dedup;
+            n_par = nd;
         }
         int64_t nnz = 0;
         double bound = INFINITY;
@@ -570,8 +566,8 @@ int place_batch(KState *s) {
         /* ---- T2S recurrence (add_transaction_raw, inlined) ---- */
         if (n_raw == 1) {
             int64_t parent = par[0];
-            /* OutPoint guarantees parent >= 0; the extra check only
-             * keeps a corrupted batch from indexing out of bounds. */
+            /* Parents are u64 reinterpreted: a negative one is an id
+             * >= 2**63, never earlier than txid. */
             if (parent < 0 || parent >= txid) {
                 s->error_txid = txid;
                 s->error_parent = parent;

@@ -6,8 +6,8 @@ list of sparse dicts (``_p_prime``). The numpy backend keeps the same
 state in C-contiguous typed arrays the compiled kernel can address
 directly, and these adapters give those arrays just enough of the list
 protocol that every *python* code path that touches the state -
-snapshots, deltas, partition handoff, the generic per-transaction
-placement loop, release/epoch sweeps - keeps working unchanged.
+snapshots, deltas, partition handoff, release/epoch sweeps - keeps
+working unchanged.
 
 Every scalar read converts to a native python object (``.item()``), so
 values that flow onward (into dict keys, JSON headers, ``array``

@@ -7,9 +7,9 @@ the SHA-256 of the source plus the compile flags, so upgrades rebuild
 and concurrent worker processes race benignly (build to a temp file,
 ``os.replace`` into place). Any failure - no compiler, sandboxed cache
 dir, missing libm - is recorded and surfaced through
-:func:`kernel_unavailable_reason`; the numpy backend then refuses (or
-the ``auto`` backend falls back to pure python) instead of crashing at
-import time.
+:func:`kernel_unavailable_reason`; the numpy backend is then
+unavailable (an explicit ``backend=numpy`` refuses, ``auto`` resolves
+to pure python) instead of crashing at import time.
 
 Floating-point contract: the kernel must execute the exact double
 operations the pure-python fused loop performs, so fused
@@ -106,11 +106,11 @@ class KState(ctypes.Structure):
         ("rows_cap", ctypes.c_int64),
         ("dropped_mass", ctypes.c_double),
         ("truncated_vectors", ctypes.c_int64),
-        # batch input
+        # batch input: raw outpoint txids in CSR (one marshal for the
+        # wire and object paths); the kernel deduplicates per tx
         ("n_tx", ctypes.c_int64),
         ("parents", _c_int64_p),
         ("par_off", _c_int64_p),
-        ("n_outpoints", _c_int32_p),
         # scratch
         ("raw", _c_double_p),
         ("touched", _c_int64_p),
@@ -121,15 +121,12 @@ class KState(ctypes.Structure):
         ("pb_ids", _c_int64_p),
         ("pb_vals", _c_double_p),
         ("pb_idx", _c_int64_p),
+        ("dedup", _c_int64_p),
+        ("dedup_cap", ctypes.c_int64),
         # results
         ("n_done", ctypes.c_int64),
         ("error_txid", ctypes.c_int64),
         ("error_parent", ctypes.c_int64),
-        # raw-parents mode
-        ("raw_parents", ctypes.c_int32),
-        ("_pad0", ctypes.c_int32),
-        ("dedup", _c_int64_p),
-        ("dedup_cap", ctypes.c_int64),
     ]
 
 

@@ -1,4 +1,5 @@
-"""Numpy/compiled backend for the OptChain placement strategies.
+"""Numpy backend for the OptChain placement strategies: typed-array
+state driven by the compiled kernel.
 
 The classes here are drop-in subclasses of the python strategies with
 two changes:
@@ -7,27 +8,28 @@ two changes:
    vectors, spender counts, min-mass bounds) lives in growable
    C-contiguous numpy buffers behind the list-like adapters of
    :mod:`repro.core.backends.arrays`, so snapshots, deltas, partition
-   handoff, epoch sweeps, and the generic per-transaction placement
-   loop all keep reading/writing it through the unchanged python code
-   paths. All O(n_shards) state (shard sizes, the load proxy's lazy
-   heaps) stays in plain python lists - ``heapq`` and the handoff code
-   require real lists - and is copied into the kernel's typed scratch
-   before each batch and back after (O(n_shards + heap) per *batch*,
-   irrelevant at batch sizes the service uses).
+   handoff and epoch sweeps keep reading/writing it through the
+   unchanged python code paths. All O(n_shards) state (shard sizes, the
+   load proxy's lazy heaps) stays in plain python lists - ``heapq`` and
+   the handoff code require real lists - and is copied into the
+   kernel's typed scratch before each batch and back after
+   (O(n_shards + heap) per *batch*, irrelevant at batch sizes the
+   service uses).
 
-2. **The hot loop.** ``place_batch`` marshals the micro-batch into a
-   deduped-parent CSR and runs the compiled fused kernel
-   (``_kernel.c``) - the same T2S recurrence + pruned fitness argmax +
-   proxy update the pure-python fused loop performs, placement-for-
-   placement and bit-for-bit (the differential tests compare full
-   exported state). Configurations the fused python path would itself
-   refuse (live latency providers, adaptive-cap scorers, a zero
-   pruning epsilon, lazy argmin users) fall back to the generic
-   per-transaction loop, which is still backed by the numpy state.
+2. **The hot loop is the compiled kernel, always.** Every batch - wire
+   columns or ``Transaction`` objects - reaches ``_kernel.c`` as one
+   raw-outpoint CSR (:func:`parent_csr`), which runs the same T2S
+   recurrence + pruned fitness argmax + proxy update the pure-python
+   fused loop performs, placement-for-placement and bit-for-bit (the
+   differential tests compare full exported state). There is no
+   per-transaction fallback: configurations the fused python path
+   refuses (live latency providers, adaptive caps, the ``outputs``
+   divisor) and hosts without the kernel have no numpy backend, and
+   spec resolution runs them on python.
 
-The kernel additionally requires ``prune_epsilon > 0``: stored masses
-are then always positive, so the dense row representation can use
-exact 0.0 for "shard absent".
+The kernel additionally requires ``prune_epsilon > 0`` (the scorers
+here always use the default): stored masses are then always positive,
+so the dense row representation can use exact 0.0 for "shard absent".
 """
 
 from __future__ import annotations
@@ -64,10 +66,10 @@ from repro.core.optchain import (
     OptChainPlacer,
     TopKOptChainPlacer,
 )
-from repro.core.placement import PlacementStrategy
 from repro.core.scorer import DEFAULT_SUPPORT_CAP, parse_support_cap
-from repro.core.t2s import AdaptiveTopKT2SScorer, T2SScorer, TopKT2SScorer
-from repro.errors import EngineError, PlacementError
+from repro.core.spec import numpy_refusal
+from repro.core.t2s import T2SScorer, TopKT2SScorer
+from repro.errors import ConfigurationError, EngineError, PlacementError
 
 _c_double_p = ctypes.POINTER(ctypes.c_double)
 _c_int64_p = ctypes.POINTER(ctypes.c_int64)
@@ -85,10 +87,12 @@ def _iptr(arr: np.ndarray):
 class _NumpyStateMixin:
     """Typed-array per-transaction state for a T2S scorer.
 
-    Methods that *mutate* stored vectors are overridden to write
-    through to the arrays: the inherited versions mutate the borrowed
-    dict a :class:`~repro.core.backends.arrays.RowMatrix` materializes
-    on read, which would be lost. Read-only paths (snapshots, handoff,
+    The kernel writes this state directly; the per-transaction scorer
+    API stays correct for direct callers. Methods that *mutate* stored
+    vectors are overridden to write through to the arrays: the
+    inherited versions mutate the borrowed dict a
+    :class:`~repro.core.backends.arrays.RowMatrix` materializes on
+    read, which would be lost. Read-only paths (snapshots, handoff,
     ``normalized``) work through the adapters unchanged.
     """
 
@@ -190,23 +194,14 @@ class NumpyT2SScorer(_NumpyStateMixin, T2SScorer):
     """Exact T2S scoring over typed-array state (kind ``"exact"``)."""
 
     def __init__(
-        self,
-        n_shards: int,
-        alpha: float = 0.5,
-        outdeg_mode: str = "spenders",
-        prune_epsilon: float = 1e-12,
+        self, n_shards: int, alpha: float = 0.5, outdeg_mode: str = "spenders"
     ) -> None:
-        super().__init__(
-            n_shards,
-            alpha=alpha,
-            outdeg_mode=outdeg_mode,
-            prune_epsilon=prune_epsilon,
-        )
+        super().__init__(n_shards, alpha=alpha, outdeg_mode=outdeg_mode)
         self._init_numpy_state(n_shards)
 
 
 class NumpyTopKT2SScorer(_NumpyStateMixin, TopKT2SScorer):
-    """Bounded-support T2S scoring over typed-array state."""
+    """Bounded-support T2S scoring over typed-array state (fixed cap)."""
 
     def __init__(
         self,
@@ -214,85 +209,38 @@ class NumpyTopKT2SScorer(_NumpyStateMixin, TopKT2SScorer):
         support_cap: int = DEFAULT_SUPPORT_CAP,
         alpha: float = 0.5,
         outdeg_mode: str = "spenders",
-        prune_epsilon: float = 1e-12,
     ) -> None:
         super().__init__(
             n_shards,
             support_cap=support_cap,
             alpha=alpha,
             outdeg_mode=outdeg_mode,
-            prune_epsilon=prune_epsilon,
         )
         self._init_numpy_state(n_shards)
 
 
-class NumpyAdaptiveTopKT2SScorer(_NumpyStateMixin, AdaptiveTopKT2SScorer):
-    """Adaptive-cap scoring over typed-array state.
-
-    Runs unfused like its parent (``fused_compatible`` is False - the
-    window accounting is inherently per-transaction), so it never
-    enters the compiled kernel; the typed-array state still makes its
-    snapshots interchangeable with the other numpy scorers.
+def parent_csr(batch) -> "tuple[list, np.ndarray, np.ndarray]":
+    """``(inputs per tx, parents, in_off)``: the raw-outpoint parent
+    CSR of a ``Transaction`` batch, shaped like the wire decoder's
+    zero-copy columns - the one marshal the placement and validation
+    kernels read. Parent ids go through ``uint64`` and are viewed as
+    ``int64`` exactly as the wire reinterprets them, so both sources hit
+    identical kernel branches; an id >= 2**64 raises ``OverflowError``.
     """
-
-    def __init__(
-        self,
-        n_shards: int,
-        target_rate: float,
-        support_cap: int | None = None,
-        window: int | None = None,
-        alpha: float = 0.5,
-        outdeg_mode: str = "spenders",
-        prune_epsilon: float = 1e-12,
-    ) -> None:
-        kwargs: dict[str, Any] = {}
-        if support_cap is not None:
-            kwargs["support_cap"] = support_cap
-        if window is not None:
-            kwargs["window"] = window
-        super().__init__(
-            n_shards,
-            target_rate=target_rate,
-            alpha=alpha,
-            outdeg_mode=outdeg_mode,
-            prune_epsilon=prune_epsilon,
-            **kwargs,
-        )
-        self._init_numpy_state(n_shards)
-
-
-def _make_numpy_support_scorer(
-    n_shards: int,
-    support_cap,
-    *,
-    alpha: float = 0.5,
-    outdeg_mode: str = "spenders",
-    initial_cap: "int | None" = None,
-    window: "int | None" = None,
-) -> TopKT2SScorer:
-    mode, value = parse_support_cap(support_cap)
-    if mode == "fixed":
-        return NumpyTopKT2SScorer(
-            n_shards,
-            support_cap=value,
-            alpha=alpha,
-            outdeg_mode=outdeg_mode,
-        )
-    return NumpyAdaptiveTopKT2SScorer(
-        n_shards,
-        target_rate=value,
-        support_cap=initial_cap,
-        window=window,
-        alpha=alpha,
-        outdeg_mode=outdeg_mode,
-    )
+    all_inputs = [tx.inputs for tx in batch]
+    parents = np.array(
+        [op.txid for ins in all_inputs for op in ins], dtype=np.uint64
+    ).view(np.int64)
+    in_off = np.zeros(len(all_inputs) + 1, dtype=np.int64)
+    np.cumsum(list(map(len, all_inputs)), out=in_off[1:])
+    return all_inputs, parents, in_off
 
 
 class _KernelDriver:
     """Owns the ctypes KState, the scratch buffers, and the per-batch
     copy-in/copy-out against one placer instance."""
 
-    def __init__(self, placer: "NumpyOptChainPlacer") -> None:
+    def __init__(self, placer: "_KernelPlacer") -> None:
         self.placer = placer
         k = placer.n_shards
         proxy = placer._proxy
@@ -326,16 +274,14 @@ class _KernelDriver:
         self.pb_idx = np.zeros(self.heap_cap, dtype=np.int64)
         self.pb_ids = np.zeros(self.zero_cap, dtype=np.int64)
 
-    def run(self, parents, par_off, n_outs, n_tx, raw: bool = False) -> None:
-        """Run the kernel over the marshalled batch, committing state.
+    def run(self, parents, par_off, n_tx) -> None:
+        """Run the kernel over a raw-outpoint CSR, committing state.
 
-        With ``raw=True`` the CSR carries raw outpoint txids straight
-        off the wire (``n_outs`` is unused) and the kernel deduplicates
-        per transaction itself; otherwise parents arrive pre-deduped
-        with raw counts in ``n_outs``.
-
-        Raises :class:`PlacementError` (with all prior transactions
-        committed, matching the python loop) on an invalid input.
+        ``parents`` holds every outpoint's txid (undeduplicated; the
+        kernel deduplicates per transaction), ``par_off`` the
+        per-transaction offsets. Raises :class:`PlacementError` (with
+        all prior transactions committed, matching the python loop) on
+        an invalid input.
         """
         placer = self.placer
         scorer = placer.scorer
@@ -366,6 +312,11 @@ class _KernelDriver:
             self.zero_heap[: len(zero_heap)] = zero_heap
         self.strat_sizes[:] = placer._shard_sizes
         self.scorer_sizes[:] = scorer._shard_sizes
+        max_in = int(np.diff(par_off).max())
+        if max_in > len(self.dedup):
+            self.dedup = np.zeros(
+                max(max_in, 2 * len(self.dedup)), dtype=np.int64
+            )
 
         st = KState()
         st.n_shards = self.k
@@ -398,15 +349,6 @@ class _KernelDriver:
         st.rows_cap = needed
         st.dropped_mass = scorer._dropped_mass
         st.truncated_vectors = scorer._truncated_vectors
-        st.raw_parents = 1 if raw else 0
-        if raw:
-            max_in = int(np.diff(par_off).max()) if n_tx else 0
-            if max_in > len(self.dedup):
-                self.dedup = np.zeros(
-                    max(max_in, 2 * len(self.dedup)), dtype=np.int64
-                )
-            st.dedup = _iptr(self.dedup)
-            st.dedup_cap = len(self.dedup)
 
         st.scaled = _dptr(self.scaled)
         st.heap_vals = _dptr(self.heap_vals)
@@ -428,14 +370,14 @@ class _KernelDriver:
         st.pb_ids = _iptr(self.pb_ids)
         st.pb_vals = _dptr(self.pb_vals)
         st.pb_idx = _iptr(self.pb_idx)
+        st.dedup = _iptr(self.dedup)
+        st.dedup_cap = len(self.dedup)
+        st.parents = _iptr(parents)
 
         done = 0
         while True:
             st.n_tx = n_tx - done
-            st.parents = _iptr(parents)
             st.par_off = _iptr(par_off[done:])
-            if not raw:
-                st.n_outpoints = n_outs[done:].ctypes.data_as(_c_int32_p)
             rc = lib.place_batch(ctypes.byref(st))
             done += st.n_done
             if rc == KERN_CAPACITY:
@@ -491,9 +433,11 @@ class _KernelDriver:
         assignment._n = new_n
 
         if rc == KERN_INVALID_INPUT:
+            parent = st.error_parent
+            if parent < 0:
+                parent += 1 << 64  # recover the u64 id
             raise PlacementError(
-                f"transaction {st.error_txid} has invalid input "
-                f"{st.error_parent}"
+                f"transaction {st.error_txid} has invalid input {parent}"
             )
         if rc != KERN_OK:
             raise RuntimeError(
@@ -501,17 +445,88 @@ class _KernelDriver:
             )
 
 
-class NumpyOptChainPlacer(OptChainPlacer):
-    """OptChain with typed-array state and the compiled fused kernel.
+class _KernelPlacer:
+    """The compiled-kernel hot path both numpy placers share.
 
-    Registered behind ``StrategySpec`` backend selection (never in the
-    name registry - ``name`` is inherited so specs and stats report
-    the canonical strategy name). Placements and exported state are
-    bit-identical to :class:`~repro.core.optchain.OptChainPlacer`;
-    the differential suite compares both full-state.
+    Placements and exported state are bit-identical to the python
+    strategy it is mixed into; the differential suite compares both
+    full-state. Registered behind ``StrategySpec`` backend selection
+    (never in the name registry - ``name`` is inherited so specs and
+    stats report the canonical strategy name).
     """
 
     backend = "numpy"
+
+    def _init_kernel(self) -> None:
+        """Refuse what the kernel cannot place; set up its state."""
+        reason = numpy_refusal(self.name)
+        if reason is None and (
+            self._path != _PATH_FUSED or not self.scorer._spenders_divisor
+        ):
+            reason = (
+                "backend 'numpy' places only the fused configuration "
+                "(offline load proxy, l2s_mode='shard_load', "
+                "outdeg_mode='spenders'); use backend=python"
+            )
+        if reason is not None:
+            raise ConfigurationError(reason)
+        self._assignment = IntVector()
+        self._driver = _KernelDriver(self)
+
+    def use_latency_provider(self, provider) -> None:
+        raise ConfigurationError(
+            "backend 'numpy' scores with the offline load proxy only; "
+            "build the placer with backend=python for a live latency "
+            "provider"
+        )
+
+    def place(self, tx) -> int:
+        return self.place_batch([tx])[0]
+
+    def place_batch(self, txs) -> list[int]:
+        batch = txs if isinstance(txs, list) else list(txs)
+        start = len(self._assignment)
+        n = 0
+        for tx in batch:
+            if tx.txid != start + n:
+                break
+            n += 1
+        _, parents, in_off = parent_csr(batch[:n])
+        shards = self.place_batch_raw(parents, in_off, n)
+        if n < len(batch):
+            # Same behavior as the python loop: every transaction
+            # before the offender is committed, then the stream-order
+            # violation raises.
+            raise PlacementError(
+                f"transactions must be placed in dense stream order: "
+                f"got {batch[n].txid}, expected {start + n}"
+            )
+        return shards
+
+    def place_batch_raw(self, parents, in_off, n_tx) -> list[int]:
+        """Place a raw-outpoint CSR batch (wire arrays or the engine's
+        validation marshal): ``parents`` holds every outpoint's txid,
+        ``in_off`` the per-transaction offsets. Dense txid order is the
+        caller's contract (the engine's marshal and validator both
+        check it)."""
+        scorer = self.scorer
+        if scorer._pending is not None:
+            raise PlacementError(
+                f"transaction {scorer._pending} was added but never placed"
+            )
+        batch_start = len(self._assignment)
+        if n_tx:
+            self._driver.run(parents, in_off, n_tx)
+        return self._assignment[batch_start:]
+
+    def validation_driver(self) -> "_ValidationDriver":
+        """The kernel batch-validation driver for the engine's
+        :class:`MaskMap` store."""
+        return _ValidationDriver()
+
+
+class NumpyOptChainPlacer(_KernelPlacer, OptChainPlacer):
+    """OptChain with typed-array state and the compiled fused kernel."""
 
     def __init__(
         self,
@@ -521,119 +536,57 @@ class NumpyOptChainPlacer(OptChainPlacer):
         latency_provider=USE_LOAD_PROXY,
         l2s_mode: str = "shard_load",
         outdeg_mode: str = "spenders",
-        scorer=None,
     ) -> None:
-        if scorer is None:
-            scorer = NumpyT2SScorer(
-                n_shards, alpha=alpha, outdeg_mode=outdeg_mode
-            )
-        super().__init__(
+        OptChainPlacer.__init__(
+            self,
             n_shards,
             alpha=alpha,
             latency_weight=latency_weight,
             latency_provider=latency_provider,
             l2s_mode=l2s_mode,
             outdeg_mode=outdeg_mode,
-            scorer=scorer,
+            scorer=NumpyT2SScorer(
+                n_shards, alpha=alpha, outdeg_mode=outdeg_mode
+            ),
         )
-        self._assignment = IntVector()
-        self._driver: _KernelDriver | None = None
+        self._init_kernel()
 
-    def _kernel_ready(self) -> bool:
-        scorer = self.scorer
-        return (
-            self._path == _PATH_FUSED
-            and self._size_argmin is None
-            and isinstance(scorer, _NumpyStateMixin)
-            and scorer.fused_compatible
-            and scorer._spenders_divisor
-            and scorer.prune_epsilon > 0.0
-            and load_kernel() is not None
+
+class NumpyTopKOptChainPlacer(_KernelPlacer, TopKOptChainPlacer):
+    """Bounded-support OptChain over the compiled kernel (truncation
+    inlined). Fixed caps only: the adaptive ``auto:<rate>`` window is
+    accounted per transaction and runs on the python backend;
+    ``support_initial_cap`` / ``support_window`` configure only that
+    form and are accepted (unused) for snapshot-recipe symmetry."""
+
+    def __init__(
+        self,
+        n_shards: int,
+        support_cap: "int | str" = DEFAULT_SUPPORT_CAP,
+        alpha: float = 0.5,
+        latency_weight: float = PAPER_LATENCY_WEIGHT,
+        latency_provider=USE_LOAD_PROXY,
+        l2s_mode: str = "shard_load",
+        outdeg_mode: str = "spenders",
+        support_initial_cap: "int | None" = None,
+        support_window: "int | None" = None,
+    ) -> None:
+        mode, cap = parse_support_cap(support_cap)
+        if mode != "fixed":
+            raise ConfigurationError(numpy_refusal(self.name, support_cap))
+        OptChainPlacer.__init__(
+            self,
+            n_shards,
+            alpha=alpha,
+            latency_weight=latency_weight,
+            latency_provider=latency_provider,
+            l2s_mode=l2s_mode,
+            outdeg_mode=outdeg_mode,
+            scorer=NumpyTopKT2SScorer(
+                n_shards, support_cap=cap, alpha=alpha, outdeg_mode=outdeg_mode
+            ),
         )
-
-    def place_batch(self, txs) -> list[int]:
-        if not self._kernel_ready():
-            # The inherited *fused* python loop would mutate the local
-            # dicts it appends (lost through the row adapters); the
-            # generic per-transaction loop commits through scorer.place
-            # and is correct against any state representation.
-            return PlacementStrategy.place_batch(self, txs)
-        scorer = self.scorer
-        if scorer._pending is not None:
-            raise PlacementError(
-                f"transaction {scorer._pending} was added but never placed"
-            )
-        if self._driver is None:
-            self._driver = _KernelDriver(self)
-        batch_start = len(self._assignment)
-
-        # Marshal to a deduped-parent CSR (first-appearance order, as
-        # Transaction.input_txids derives) plus raw outpoint counts -
-        # the recurrence branches on the raw count, the argmax seeding
-        # on the deduped count.
-        parents: list[int] = []
-        par_off = [0]
-        n_outs: list[int] = []
-        bad_txid = -1
-        expected = batch_start
-        for tx in txs:
-            txid = tx.txid
-            if txid != expected:
-                bad_txid = txid
-                break
-            inputs = tx.inputs
-            if len(inputs) == 1:
-                parents.append(inputs[0].txid)
-            elif inputs:
-                parents.extend(
-                    dict.fromkeys(outpoint.txid for outpoint in inputs)
-                )
-            n_outs.append(len(inputs))
-            par_off.append(len(parents))
-            expected += 1
-        n_tx = len(n_outs)
-        if n_tx:
-            self._driver.run(
-                np.array(parents, dtype=np.int64),
-                np.array(par_off, dtype=np.int64),
-                np.array(n_outs, dtype=np.int32),
-                n_tx,
-            )
-        if bad_txid >= 0:
-            # Same behavior as the python loop: every transaction
-            # before the offender is committed, then the stream-order
-            # violation raises.
-            raise PlacementError(
-                f"transactions must be placed in dense stream order: "
-                f"got {bad_txid}, expected {len(self._assignment)}"
-            )
-        return self._assignment[batch_start:]
-
-    def place_batch_raw(self, parents, in_off, n_tx) -> list[int]:
-        """Place a raw-CSR marshalled batch (wire arrays or the
-        engine's validation marshal): ``parents`` holds every raw
-        outpoint txid, ``in_off`` the per-transaction offsets. Dense
-        txid order is the caller's contract (the engine's marshal and
-        validator both check it). Requires :meth:`_kernel_ready`."""
-        scorer = self.scorer
-        if scorer._pending is not None:
-            raise PlacementError(
-                f"transaction {scorer._pending} was added but never placed"
-            )
-        if self._driver is None:
-            self._driver = _KernelDriver(self)
-        batch_start = len(self._assignment)
-        if n_tx:
-            self._driver.run(parents, in_off, None, n_tx, raw=True)
-        return self._assignment[batch_start:]
-
-    def validation_driver(self) -> "_ValidationDriver | None":
-        """A kernel batch-validation driver, or ``None`` when this
-        placer's configuration keeps the kernel off the hot path (the
-        engine then runs its python journal)."""
-        if not self._kernel_ready():
-            return None
-        return _ValidationDriver()
+        self._init_kernel()
 
 
 class _ValidationDriver:
@@ -643,45 +596,34 @@ class _ValidationDriver:
     batch of transactions into the raw-outpoint CSR, runs
     ``validate_batch`` in C against the engine's mask store, and maps
     error codes back to the byte-exact :class:`EngineError` messages.
-    The same CSR then feeds :meth:`NumpyOptChainPlacer.place_batch_raw`
-    so the batch is marshalled exactly once per request.
+    The same CSR then feeds :meth:`_KernelPlacer.place_batch_raw` so
+    the batch is marshalled exactly once per request.
     """
 
     def __init__(self) -> None:
-        self._lib = load_kernel()  # caller verified availability
+        self._lib = load_kernel()  # the placer verified availability
 
     @staticmethod
     def marshal(batch, first_txid: int):
         """Typed-array CSR for ``batch``, or ``None`` when the batch
         needs the python journal (non-dense txids report their exact
-        error there; negative/overflowing ids keep python semantics).
+        error there; ids beyond the wire's u64/u32 keep python
+        semantics).
         """
         n = len(batch)
-        txids = [tx.txid for tx in batch]
-        if txids != list(range(first_txid, first_txid + n)):
+        if [tx.txid for tx in batch] != list(
+            range(first_txid, first_txid + n)
+        ):
             return None
-        all_inputs = [tx.inputs for tx in batch]
         try:
-            # uint dtypes reject negative and over-wide ids, pushing
-            # those (contract-violating) batches to the python path;
-            # the signed views match the wire decoder's zero-copy
-            # reinterpretation, so both marshals hit identical kernel
-            # branches.
-            parents = np.array(
-                [op.txid for ins in all_inputs for op in ins],
-                dtype=np.uint64,
-            ).view(np.int64)
+            all_inputs, parents, in_off = parent_csr(batch)
             indexes = np.array(
                 [op.index for ins in all_inputs for op in ins],
                 dtype=np.uint32,
             ).view(np.int32)
-            n_outputs = np.array(
-                [len(tx.outputs) for tx in batch], dtype=np.int32
-            )
         except OverflowError:
             return None
-        in_off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(list(map(len, all_inputs)), out=in_off[1:])
+        n_outputs = np.array([len(tx.outputs) for tx in batch], dtype=np.int32)
         return _MarshalledBatch(
             first_txid, n, parents, indexes, in_off, n_outputs
         )
@@ -776,60 +718,11 @@ class _MarshalledBatch:
         return self.n_txs
 
 
-class NumpyTopKOptChainPlacer(TopKOptChainPlacer):
-    """Bounded-support OptChain over the numpy backend.
-
-    Fixed caps run the compiled kernel (truncation inlined); the
-    adaptive ``auto:<rate>`` form uses the unfused adaptive scorer
-    through the generic loop, with state still in typed arrays.
-    """
-
-    backend = "numpy"
-
-    def __init__(
-        self,
-        n_shards: int,
-        support_cap: "int | str" = DEFAULT_SUPPORT_CAP,
-        alpha: float = 0.5,
-        latency_weight: float = PAPER_LATENCY_WEIGHT,
-        latency_provider=USE_LOAD_PROXY,
-        l2s_mode: str = "shard_load",
-        outdeg_mode: str = "spenders",
-        support_initial_cap: "int | None" = None,
-        support_window: "int | None" = None,
-    ) -> None:
-        OptChainPlacer.__init__(
-            self,
-            n_shards,
-            alpha=alpha,
-            latency_weight=latency_weight,
-            latency_provider=latency_provider,
-            l2s_mode=l2s_mode,
-            outdeg_mode=outdeg_mode,
-            scorer=_make_numpy_support_scorer(
-                n_shards,
-                support_cap,
-                alpha=alpha,
-                outdeg_mode=outdeg_mode,
-                initial_cap=support_initial_cap,
-                window=support_window,
-            ),
-        )
-        self._assignment = IntVector()
-        self._driver: _KernelDriver | None = None
-
-    _kernel_ready = NumpyOptChainPlacer._kernel_ready
-    place_batch = NumpyOptChainPlacer.place_batch
-    place_batch_raw = NumpyOptChainPlacer.place_batch_raw
-    validation_driver = NumpyOptChainPlacer.validation_driver
-
-
 # Imported lazily by repro.core.spec (backend routing) and
 # repro.service.state (snapshot restore).
 __all__ = [
     "NumpyT2SScorer",
     "NumpyTopKT2SScorer",
-    "NumpyAdaptiveTopKT2SScorer",
     "NumpyOptChainPlacer",
     "NumpyTopKOptChainPlacer",
 ]

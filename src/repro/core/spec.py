@@ -17,8 +17,8 @@ Grammar: ``<method>[:<key>=<value>[,<key>=<value>...]]``. Known keys:
 ``backend``
     Execution backend: ``python`` (the golden reference, default),
     ``numpy`` (typed-array state + compiled kernel,
-    :mod:`repro.core.backends`), or ``auto`` (numpy when available for
-    the method, python otherwise).
+    :mod:`repro.core.backends`), or ``auto`` (numpy when it can run the
+    method and cap here, python otherwise).
 
 Every surface that names a strategy - the CLI, the experiments runner,
 snapshot headers, engine stats, the sharded service's worker specs -
@@ -184,34 +184,18 @@ class StrategySpec:
     def resolve_backend(self) -> str:
         """The concrete backend this spec runs on here (never ``auto``).
 
-        ``auto`` resolves to numpy when numpy is importable and the
-        method has a numpy implementation, else python. An explicit
-        ``numpy`` raises when it cannot be honored - silently degrading
-        an explicit request would make benchmarks lie.
+        ``auto`` resolves to numpy when :func:`numpy_refusal` has no
+        objection, else python. An explicit ``numpy`` raises when it
+        cannot be honored - silently degrading an explicit request would
+        make benchmarks lie.
         """
-        from repro.core.backends import backend_unavailable_reason
-
         if self.backend == "python":
             return "python"
+        reason = numpy_refusal(self.method, self.cap)
+        if reason is None:
+            return "numpy"
         if self.backend == "numpy":
-            if self.method not in NUMPY_METHODS:
-                supported = ", ".join(sorted(NUMPY_METHODS))
-                raise ConfigurationError(
-                    f"strategy {self.method!r} has no numpy backend "
-                    f"(only {supported} do)"
-                )
-            reason = backend_unavailable_reason("numpy")
-            if reason is not None:
-                raise ConfigurationError(
-                    f"backend 'numpy' is unavailable: {reason}"
-                )
-            return "numpy"
-        # auto
-        if (
-            self.method in NUMPY_METHODS
-            and backend_unavailable_reason("numpy") is None
-        ):
-            return "numpy"
+            raise ConfigurationError(reason)
         return "python"
 
     def build(self, n_shards: int, **kwargs: Any):
@@ -251,6 +235,28 @@ class StrategySpec:
         return cls(n_shards=n_shards, **kwargs)
 
 
+def numpy_refusal(method: str, cap: "int | str | None" = None) -> "str | None":
+    """Why ``method`` (with support ``cap``) cannot run on the numpy
+    backend here, or ``None``. The backend is the compiled fused kernel,
+    so it needs numpy and the kernel and places only fused
+    configurations: the adaptive ``auto:<rate>`` cap is accounted per
+    transaction and stays on python."""
+    if method not in NUMPY_METHODS:
+        supported = ", ".join(sorted(NUMPY_METHODS))
+        return (
+            f"strategy {method!r} has no numpy backend (only {supported} do)"
+        )
+    if str(cap).startswith("auto:"):
+        return (
+            f"backend 'numpy' has no adaptive support cap ({cap!r}); "
+            "use backend=python"
+        )
+    from repro.core.backends import backend_unavailable_reason
+
+    reason = backend_unavailable_reason("numpy")
+    return None if reason is None else f"backend 'numpy' is unavailable: {reason}"
+
+
 def make_placer_from_spec(spec, n_shards: int, **kwargs: Any):
     """Build a placer from a spec string or :class:`StrategySpec`."""
     if isinstance(spec, str):
@@ -261,6 +267,7 @@ def make_placer_from_spec(spec, n_shards: int, **kwargs: Any):
 __all__ = [
     "StrategySpec",
     "make_placer_from_spec",
+    "numpy_refusal",
     "TOPK_METHODS",
     "NUMPY_METHODS",
     "BACKENDS",

@@ -16,7 +16,6 @@ remote-parent and write-ahead-journal steps around these calls.
 from __future__ import annotations
 
 import asyncio
-import warnings
 from time import perf_counter
 from typing import Any, Awaitable, Callable
 
@@ -36,29 +35,6 @@ def wire_path_active(engine: Any) -> bool:
     (wire -> kernel): the compiled validator is on and no drift monitor
     needs ``Transaction`` objects."""
     return engine.kernel_validation and engine.drift_monitor is None
-
-
-def warn_if_degraded(engine: Any, role: str) -> None:
-    """Say so - once, loudly - when a vectorized backend serves without
-    its compiled kernel (``REPRO_KERNEL_DISABLE=1``, no ``cc``): replies
-    stay byte-identical, through the slower object path."""
-    if engine.drift_monitor is not None or not hasattr(
-        engine.placer, "validation_driver"
-    ):
-        return
-    from repro.core.backends.ckernel import kernel_unavailable_reason
-
-    reason = (
-        kernel_unavailable_reason()
-        or "kernel-incompatible strategy configuration"
-    )
-    warnings.warn(
-        "vectorized backend without the compiled kernel "
-        f"({reason}): the {role} wire fast path is disabled; requests "
-        "decode through the Python object path",
-        RuntimeWarning,
-        stacklevel=3,
-    )
 
 
 def decode_place(

@@ -56,7 +56,6 @@ from repro.service.sequencer import (
     Sequencer,
     decode_place,
     failure,
-    warn_if_degraded,
     wire_path_active,
 )
 from repro.service.wire import (
@@ -108,7 +107,6 @@ class PlacementServer:
         self._checkpoints_since_full = 0
         self._server: asyncio.AbstractServer | None = None
         self._dispatcher: asyncio.Task | None = None
-        self._degrade_checked = False
         self._stopping = False
         self._stopped = asyncio.Event()
         self._line_tasks: set[asyncio.Task] = set()
@@ -527,11 +525,9 @@ class PlacementServer:
         """Binary ``place``: decode here, place locally. The sharded
         coordinator overrides this to route the *raw payload* to the
         owning worker without decoding it."""
-        wire_arrays = wire_path_active(self._engine)
-        if not wire_arrays and not self._degrade_checked:
-            self._degrade_checked = True
-            warn_if_degraded(self._engine, "server")
-        return await self._place_request(decode_place(payload, wire_arrays))
+        return await self._place_request(
+            decode_place(payload, wire_path_active(self._engine))
+        )
 
     async def _place_request(
         self, txs: "list[Transaction] | WireBatch"

@@ -264,15 +264,17 @@ def _snapshot_backend(spec: dict[str, Any]) -> str:
     Snapshots record the backend they were taken with (format-2 header,
     optional key - older files default to python) so a restore
     re-creates the same configuration. The scorer state itself is
-    backend-agnostic, so a numpy-recorded snapshot restored on a host
-    without numpy degrades to the python backend with a warning instead
-    of failing: the continued stream stays bit-identical, just slower.
+    backend-agnostic, so a numpy-recorded snapshot restored where the
+    numpy backend cannot run it (no numpy or kernel, or a configuration
+    it no longer places) degrades to the python backend with a warning
+    instead of failing: the continued stream stays bit-identical, just
+    slower.
     """
     backend = spec.get("backend", "python")
     if backend == "numpy":
-        from repro.core.backends import backend_unavailable_reason
+        from repro.core.spec import numpy_refusal
 
-        reason = backend_unavailable_reason("numpy")
+        reason = numpy_refusal(spec.get("strategy"), spec.get("support_cap"))
         if reason is not None:
             import warnings
 

@@ -53,7 +53,6 @@ from repro.service.sequencer import (
     decode_place,
     failure,
     first_txid,
-    warn_if_degraded,
     wire_path_active,
 )
 from repro.service.wire import (
@@ -118,8 +117,6 @@ class PlacementWorker:
         # drift monitor, ``place`` frames stay numpy array views end to
         # end (wire -> kernel).
         self._wire_arrays = wire_path_active(partition.engine)
-        if not self._wire_arrays:
-            warn_if_degraded(partition.engine, "worker")
         self._checkpoint_path = checkpoint_path
         self._checkpoint_compress = checkpoint_compress
         self.channel: "FrameChannel | None" = None

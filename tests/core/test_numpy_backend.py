@@ -2,14 +2,16 @@
 
 The vectorized backend's whole contract is *bit-identity*: same
 placements, same tie-breaks, same exported state, same support
-statistics - for every strategy variant (exact, fixed top-k caps,
-adaptive cap) at every batch size. Random UTXO streams (including
-duplicate parents, coinbases, and fan-in bursts) are driven through
-both backends side by side and compared full-state.
+statistics - for every strategy variant it places (exact, fixed top-k
+caps) at every batch size. Random UTXO streams (including duplicate
+parents - the same outpoint spent twice - coinbases, and fan-in
+bursts) are driven through both backends side by side and compared
+full-state.
 
-Skipped wholesale when numpy is not installed; the compiled kernel is
-exercised when it can be built and the tests still pass (generic-loop
-fallback) when it cannot - identical either way is the point.
+The numpy backend *is* the compiled kernel: the differential classes
+skip where numpy or the kernel is unavailable (the whole module without
+numpy), and the plumbing tests pin what such a host gets instead - no
+numpy backend, with ``auto`` resolving to python.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ np = pytest.importorskip("numpy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from repro.core.backends import backend_unavailable_reason  # noqa: E402
 from repro.core.placement import make_placer  # noqa: E402
-from repro.errors import PlacementError  # noqa: E402
+from repro.core.spec import StrategySpec  # noqa: E402
+from repro.errors import ConfigurationError, PlacementError  # noqa: E402
 from repro.service.engine import PlacementEngine  # noqa: E402
 from repro.utxo.transaction import (  # noqa: E402
     OutPoint,
@@ -32,14 +36,17 @@ from repro.utxo.transaction import (  # noqa: E402
 
 N_SHARDS = 8
 
+requires_backend = pytest.mark.skipif(
+    backend_unavailable_reason("numpy") is not None,
+    reason="numpy backend (compiled kernel) unavailable",
+)
+
 #: (method, constructor kwargs) grid the differential property covers.
 SPECS = [
     ("optchain", {}),
     ("optchain-topk", {"support_cap": 1}),
     ("optchain-topk", {"support_cap": 4}),
     ("optchain-topk", {"support_cap": N_SHARDS}),
-    ("optchain-topk", {"support_cap": "auto:0", "support_window": 32}),
-    ("optchain-topk", {"support_cap": "auto:0.01", "support_window": 32}),
 ]
 
 
@@ -91,6 +98,7 @@ def _assert_same_state(python, numpy_) -> None:
     assert python.scorer.support_stats() == numpy_.scorer.support_stats()
 
 
+@requires_backend
 class TestDifferential:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -171,6 +179,7 @@ class TestDifferential:
         assert stats[0] == stats[1]
 
 
+@requires_backend
 class TestErrorParity:
     def _messages(self, placers, batch):
         messages = []
@@ -191,6 +200,16 @@ class TestErrorParity:
         assert "invalid input 7" in message_py
         # Both backends committed exactly the pre-offender prefix.
         assert python.n_placed == numpy_.n_placed == 3
+        _assert_same_state(python, numpy_)
+
+    def test_u64_parent_same_error(self):
+        # Parent ids >= 2**63 reach the kernel as negative int64 views.
+        python, numpy_ = _pair("optchain", {})
+        bad = [_tx(0, []), _tx(1, [0]), _tx(2, [2**63 + 5])]
+        message_py, message_np = self._messages((python, numpy_), bad)
+        assert message_py == message_np
+        assert f"invalid input {2**63 + 5}" in message_py
+        assert python.n_placed == numpy_.n_placed == 2
         _assert_same_state(python, numpy_)
 
     def test_dense_order_same_error(self):
@@ -258,6 +277,7 @@ class TestErrorParity:
         assert list(python.scorer._p_prime) == list(numpy_.scorer._p_prime)
 
 
+@requires_backend
 class TestRawParentPath:
     """``place_batch_raw``: the zero-copy CSR entry point the serving
     wire path feeds. Raw outpoint txids go in *undeduplicated* - the
@@ -282,20 +302,14 @@ class TestRawParentPath:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_raw_csr_matches_object_path(self, data):
-        from repro.core.backends.ckernel import load_kernel
-
-        if load_kernel() is None:
-            pytest.skip("compiled kernel unavailable")
         stream = data.draw(raw_streams(max_txs=80))
-        method, kwargs = data.draw(st.sampled_from(SPECS[:4]))
+        method, kwargs = data.draw(st.sampled_from(SPECS))
         object_placer = make_placer(
             method, N_SHARDS, backend="numpy", **kwargs
         )
         raw_placer = make_placer(
             method, N_SHARDS, backend="numpy", **kwargs
         )
-        if not raw_placer._kernel_ready():
-            pytest.skip("configuration keeps the kernel off")
         placed_obj: list[int] = []
         placed_raw: list[int] = []
         for start in range(0, len(stream), 13):
@@ -309,10 +323,6 @@ class TestRawParentPath:
         _assert_same_state(object_placer, raw_placer)
 
     def test_duplicate_heavy_fan_in(self):
-        from repro.core.backends.ckernel import load_kernel
-
-        if load_kernel() is None:
-            pytest.skip("compiled kernel unavailable")
         # Every tx re-spends the same parents several times over - the
         # dedup path, single-parent shortcut, and argmax tie-breaks all
         # get hit.
@@ -340,22 +350,60 @@ class TestBackendPlumbing:
         else:
             assert kernel_unavailable_reason() is None
 
-    def test_generic_loop_matches_kernel_path(self, monkeypatch):
-        """Force the no-kernel fallback and diff it against python.
+    def test_no_kernel_means_no_numpy_backend(self, monkeypatch):
+        """A host without the kernel has no numpy backend at all:
+        explicit requests refuse, ``auto`` runs python."""
+        import repro.core.backends.ckernel as ckernel
+        from repro.core.backends.numpy_backend import NumpyOptChainPlacer
 
-        This is what a numpy-only host (no C compiler) runs; it must
-        stay bit-identical too.
-        """
-        import repro.core.backends.numpy_backend as backend_module
+        monkeypatch.setattr(
+            ckernel, "kernel_unavailable_reason", lambda: "no C compiler"
+        )
+        with pytest.raises(ConfigurationError, match="no C compiler"):
+            make_placer("optchain", N_SHARDS, backend="numpy")
+        with pytest.raises(ConfigurationError, match="no C compiler"):
+            NumpyOptChainPlacer(N_SHARDS)
+        assert StrategySpec.parse("optchain").resolve_backend() == "python"
+        assert make_placer("optchain:backend=auto", N_SHARDS).backend == (
+            "python"
+        )
 
-        monkeypatch.setattr(backend_module, "load_kernel", lambda: None)
+    @requires_backend
+    def test_unfused_configurations_are_refused(self):
+        """No per-transaction loop to fall back to: what the kernel
+        cannot place has no numpy backend; ``auto`` picks python."""
+        with pytest.raises(ConfigurationError, match="adaptive"):
+            make_placer(
+                "optchain-topk", N_SHARDS, backend="numpy",
+                support_cap="auto:0.01",
+            )
+        assert (
+            make_placer("optchain-topk:cap=auto:0.01", N_SHARDS).backend
+            == "python"
+        )
+        for kwargs in (
+            {"latency_provider": None},
+            {"outdeg_mode": "outputs"},
+            {"l2s_mode": "accept_commit"},
+        ):
+            with pytest.raises(ConfigurationError, match="fused"):
+                make_placer("optchain", N_SHARDS, backend="numpy", **kwargs)
+        placer = make_placer("optchain", N_SHARDS, backend="numpy")
+        with pytest.raises(ConfigurationError, match="load proxy"):
+            placer.use_latency_provider(object())
+
+    @requires_backend
+    def test_single_place_matches_python(self):
         stream = [_tx(0, [])] + [
-            _tx(i, [i - 1, max(0, i - 3)]) for i in range(1, 40)
+            _tx(i, [i - 1, i - 1, max(0, i - 3)]) for i in range(1, 30)
         ]
-        python, numpy_ = _pair("optchain-topk", {"support_cap": 2})
-        assert python.place_batch(stream) == numpy_.place_batch(stream)
+        python, numpy_ = _pair("optchain", {})
+        assert [python.place(tx) for tx in stream] == [
+            numpy_.place(tx) for tx in stream
+        ]
         _assert_same_state(python, numpy_)
 
+    @requires_backend
     def test_stats_report_numpy_spec(self):
         engine = PlacementEngine(
             make_placer("optchain", N_SHARDS, backend="numpy")

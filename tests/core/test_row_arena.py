@@ -222,6 +222,7 @@ def test_sweeps_recycle_rows_bit_identically():
     assert engines[1].stats().rows_resident == matrix.rows_resident
 
 
+@pytest.mark.skipif(load_kernel() is None, reason="compiled kernel unavailable")
 def test_rejected_batch_returns_its_rows():
     def tx(txid, parents):
         return Transaction(

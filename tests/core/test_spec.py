@@ -189,7 +189,10 @@ class TestOfPlacer:
         assert spec.cap == "auto:0.01"
 
     def test_numpy_placer(self):
-        pytest.importorskip("numpy")
+        from repro.core.backends import backend_unavailable_reason
+
+        if backend_unavailable_reason("numpy") is not None:
+            pytest.skip("numpy backend (compiled kernel) unavailable")
         placer = make_placer("optchain", 8, backend="numpy")
         spec = StrategySpec.of_placer(placer)
         assert spec == StrategySpec("optchain", None, "numpy")

@@ -2,7 +2,8 @@
 
 A snapshot taken on the numpy backend must restore as a numpy placer
 by default (the header records the backend), must degrade to the
-python backend with a warning when numpy is unavailable, and the
+python backend with a warning when the numpy backend cannot run it
+here (no numpy or kernel, or a configuration it does not place), and the
 restored engine must continue bit-identically either way - the scorer
 state carries no backend-specific representation.
 """
@@ -13,6 +14,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.core.backends import backend_unavailable_reason  # noqa: E402
 from repro.core.placement import make_placer  # noqa: E402
 from repro.core.spec import StrategySpec  # noqa: E402
 from repro.service.engine import PlacementEngine  # noqa: E402
@@ -26,6 +28,13 @@ SPECS = [
     ("optchain-topk", {"support_cap": 3}),
     ("optchain-topk", {"support_cap": "auto:0.01", "support_window": 256}),
 ]
+#: The configurations the numpy backend places (no adaptive cap).
+NUMPY_SPECS = SPECS[:2]
+
+requires_backend = pytest.mark.skipif(
+    backend_unavailable_reason("numpy") is not None,
+    reason="numpy backend (compiled kernel) unavailable",
+)
 
 
 def _engine(method, kwargs, backend):
@@ -35,7 +44,8 @@ def _engine(method, kwargs, backend):
     )
 
 
-@pytest.mark.parametrize("method,kwargs", SPECS)
+@requires_backend
+@pytest.mark.parametrize("method,kwargs", NUMPY_SPECS)
 def test_numpy_snapshot_restores_numpy_by_default(
     tmp_path, small_stream, method, kwargs
 ):
@@ -72,6 +82,7 @@ def test_python_snapshot_stays_python(tmp_path, small_stream, method, kwargs):
     assert restored.placer.backend == "python"
 
 
+@requires_backend
 def test_numpy_snapshot_degrades_without_numpy(
     tmp_path, small_stream, monkeypatch
 ):
@@ -98,6 +109,26 @@ def test_numpy_snapshot_degrades_without_numpy(
     assert first + second == expected
 
 
+def test_numpy_recorded_adaptive_snapshot_restores_on_python(
+    tmp_path, small_stream
+):
+    """A numpy-recorded adaptive-cap snapshot (the numpy backend no
+    longer places that configuration) restores on python with a
+    warning and continues bit-identically."""
+    method, kwargs = SPECS[2]
+    engine = _engine(method, kwargs, "python")
+    first = engine.place_batch(small_stream[:1_000])
+    engine.placer.backend = "numpy"  # as recorded by an older build
+    path = tmp_path / "adaptive.snap"
+    save_engine_snapshot(engine, path)
+    with pytest.warns(RuntimeWarning, match="adaptive support cap"):
+        restored = load_engine_snapshot(path)
+    assert restored.placer.backend == "python"
+    expected = _engine(method, kwargs, "python").place_batch(small_stream)
+    assert first + restored.place_batch(small_stream[1_000:]) == expected
+
+
+@requires_backend
 def test_cross_backend_state_round_trip(tmp_path, small_stream):
     """python-snapshot state == numpy-snapshot state at the same point.
 

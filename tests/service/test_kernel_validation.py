@@ -9,9 +9,9 @@ the kernel path must be *byte-identical*: same placements, same
 exception type and message, same committed prefix, same post-rollback
 mask store, same replies through the sharded service.
 
-Skipped wholesale when numpy is missing; kernel-specific lanes skip
-(not fail) when no C compiler is available - the degrade lane then
-still runs, which is exactly the configuration it asserts.
+Skipped wholesale when numpy is missing; kernel lanes skip (not fail)
+when no C compiler is available - the numpy backend then does not
+exist, and the python-worker lane is what such a host serves.
 """
 
 from __future__ import annotations
@@ -369,19 +369,14 @@ class TestWireBatchPlumbing:
             ), field
         assert len(merged.payloads) == 3
 
-    def test_degraded_worker_warns_and_serves_object_path(
-        self, monkeypatch
-    ):
-        """No compiler (or a kernel-incompatible config): the worker
-        must warn - not fail - and serve through the object decoder."""
-        import repro.core.backends.numpy_backend as backend_module
-
+    def test_python_worker_serves_objects(self):
+        """No kernel means no numpy engine to degrade: a python-backend
+        worker decodes objects and has nothing to warn about."""
         from repro.service.partition import EnginePartition
         from repro.service.worker import PlacementWorker
 
-        monkeypatch.setattr(backend_module, "load_kernel", lambda: None)
         engine = PlacementEngine(
-            make_placer("optchain", N_SHARDS, backend="numpy")
+            make_placer("optchain", N_SHARDS, backend="python")
         )
         assert not engine.kernel_validation
         partition = EnginePartition(
@@ -391,16 +386,7 @@ class TestWireBatchPlumbing:
             warnings.simplefilter("always")
             worker = PlacementWorker(partition)
         assert worker._wire_arrays is False
-        messages = [
-            str(entry.message)
-            for entry in caught
-            if entry.category is RuntimeWarning
-        ]
-        assert any(
-            "wire fast path is disabled" in message
-            for message in messages
-        ), messages
-        # And the engine still places correctly through the journal.
+        assert not [e for e in caught if e.category is RuntimeWarning]
         assert len(engine.place_batch([_tx(0, []), _tx(1, [(0, 0)])])) == 2
 
     @requires_kernel

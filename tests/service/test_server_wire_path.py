@@ -16,8 +16,10 @@ their replies cannot depend on arrival order: a phase either advances
 the cursor with contiguous valid requests (plus at most one invalid
 request at its end), or probes it with duplicates and partial overlaps.
 
-Skipped wholesale without numpy; without a C compiler the numpy server
-runs degraded (object decode) and must still match.
+Skipped without numpy; the differential skips where the compiled kernel
+is unavailable, since the numpy backend then does not exist - the
+no-kernel test pins that such a host refuses ``backend=numpy`` and
+serves ``auto`` on python.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ np = pytest.importorskip("numpy")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.core.backends.ckernel import load_kernel  # noqa: E402
+from repro.core.backends import backend_available  # noqa: E402
 from repro.core.placement import make_placer  # noqa: E402
+from repro.errors import ConfigurationError  # noqa: E402
 from repro.obs.drift import DriftMonitor  # noqa: E402
 from repro.service import wire  # noqa: E402
 from repro.service.engine import PlacementEngine  # noqa: E402
@@ -55,7 +58,10 @@ SPEC_PAIRS = [
     ("optchain:backend=python", "optchain:backend=numpy"),
     ("optchain-topk:cap=3,backend=python", "optchain-topk:cap=3,backend=numpy"),
 ]
-KERNEL = load_kernel() is not None
+KERNEL = backend_available("numpy")
+requires_kernel = pytest.mark.skipif(
+    not KERNEL, reason="compiled kernel unavailable"
+)
 
 
 def _tx(txid, inputs, n_outputs):
@@ -300,14 +306,13 @@ async def _conversation(spec, phases, attach_at, seed, checkpoint, codec=None):
 
 def _run(spec, conversation, seed, codec=None):
     _, phases, attach_at, _ = conversation
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        # No compiler: the degrade warning is expected.
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with tempfile.TemporaryDirectory() as tmp:
         return _converse(
             spec, phases, attach_at, seed, Path(tmp) / "snap", codec
         )
 
 
+@requires_kernel
 class TestMonoWirePathDifferential:
     @pytest.mark.parametrize("golden_spec,spec", SPEC_PAIRS)
     @settings(max_examples=30, deadline=None)
@@ -322,7 +327,7 @@ class TestMonoWirePathDifferential:
         assert golden[1].pop("spec") != served[1].pop("spec")
         assert served[1] == golden[1]
         assert golden[2] == 0
-        if KERNEL and all_array and attach_at != 0:
+        if all_array and attach_at != 0:
             assert served[2] > 0, "the wire path never ran"
         # Checkpoint bytes order sparse vectors by backend (dict
         # insertion vs dense row), so their reference is the same
@@ -353,13 +358,19 @@ class TestMonoWirePathDifferential:
 
 
 class TestMonoDegrade:
-    def test_no_kernel_warns_once_and_serves_identically(self, monkeypatch):
-        """A vectorized backend without its compiled kernel: one
-        RuntimeWarning at the first binary ``place`` frame, object
-        decode, replies identical to the golden."""
-        import repro.core.backends.numpy_backend as backend_module
+    def test_no_kernel_auto_serves_python(
+        self, monkeypatch
+    ):
+        """Without the compiled kernel there is no numpy backend to
+        degrade: an explicit ``backend=numpy`` server refuses to build,
+        ``auto`` serves python - silently and byte-identically."""
+        import repro.core.backends.ckernel as ckernel
 
-        monkeypatch.setattr(backend_module, "load_kernel", lambda: None)
+        monkeypatch.setattr(
+            ckernel, "kernel_unavailable_reason", lambda: "no C compiler"
+        )
+        with pytest.raises(ConfigurationError, match="no C compiler"):
+            make_placer("optchain:backend=numpy", N_SHARDS)
         stream, _ = _valid_stream(random.Random(5), 120)
         phases = [
             (True, [("array", stream[start : start + 10])])
@@ -373,20 +384,14 @@ class TestMonoDegrade:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 served = _converse(
-                    "optchain:backend=numpy", phases, None, 1,
-                    Path(tmp) / "numpy.snap",
+                    "optchain", phases, None, 1, Path(tmp) / "auto.snap"
                 )
-        messages = [
-            str(entry.message)
-            for entry in caught
-            if entry.category is RuntimeWarning
-        ]
-        assert len(messages) == 1, messages
-        assert "server wire fast path is disabled" in messages[0]
+        assert not [e for e in caught if e.category is RuntimeWarning]
         assert served[0] == golden[0]
+        assert served[1]["spec"] == "optchain:backend=python"
         assert served[2] == 0
 
-    @pytest.mark.skipif(not KERNEL, reason="compiled kernel unavailable")
+    @requires_kernel
     def test_kernel_server_does_not_warn(self):
         stream, _ = _valid_stream(random.Random(6), 60)
         phases = [
