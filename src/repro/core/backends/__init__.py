@@ -13,15 +13,16 @@ optional dependency, ``pip install repro-optchain[fast]``) and a C
 compiler on first use. When either is missing :func:`backend_available`
 reports why and spec resolution either falls back (``backend=auto``)
 or raises a configuration error (``backend=numpy``).
+
+Probing imports nothing heavy: numpy is *found*, not imported, and the
+kernel is loaded through ctypes alone, so a process that only resolves
+specs (the sharded coordinator) never maps numpy. Only the modules
+that build arrays import it.
 """
 
 from __future__ import annotations
 
-_numpy_error: str | None = None
-try:
-    import numpy  # noqa: F401
-except ImportError as exc:  # pragma: no cover - exercised on bare installs
-    _numpy_error = f"numpy is not installed ({exc}); pip install '.[fast]'"
+from importlib.util import find_spec
 
 
 def backend_available(name: str) -> bool:
@@ -39,8 +40,8 @@ def backend_unavailable_reason(name: str) -> str | None:
     if name == "python":
         return None
     if name == "numpy":
-        if _numpy_error is not None:
-            return _numpy_error
+        if find_spec("numpy") is None:
+            return "numpy is not installed; pip install '.[fast]'"
         from repro.core.backends.ckernel import kernel_unavailable_reason
 
         return kernel_unavailable_reason()

@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import os
 import secrets
+import subprocess
 import sys
 from array import array
 from pathlib import Path
@@ -79,10 +79,37 @@ from repro.service.wire import (
     encode_response_for,
     peek_place_header,
 )
-from repro.service.worker import worker_main
 from repro.utxo.transaction import Transaction
 
 MANIFEST_FORMAT = 1
+
+#: The directory ``repro`` is imported from, put first on every
+#: worker's ``PYTHONPATH`` so ``-m repro.service.worker`` runs this
+#: same package whatever the coordinator's working directory.
+_IMPORT_ROOT = str(Path(os.path.abspath(__file__)).parents[2])
+
+
+class _WorkerExited(ConfigurationError):
+    """A worker process ended before it said hello."""
+
+
+async def _reap(process: subprocess.Popen, timeout: float) -> bool:
+    """Wait up to ``timeout`` s for ``process`` to exit, without
+    blocking the event loop; True once it has been reaped."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while process.poll() is None:
+        if loop.time() >= deadline:
+            return False
+        await asyncio.sleep(0.01)
+    return True
+
+
+async def _kill(process: subprocess.Popen) -> None:
+    """SIGKILL ``process`` (unless it already exited) and reap it."""
+    if process.poll() is None:
+        process.kill()
+    await _reap(process, 5.0)
 
 
 class _WorkerHandle:
@@ -105,7 +132,7 @@ class _WorkerHandle:
 
     def __init__(self, partition_id: int, checkpoint_path: "str | None"):
         self.partition_id = partition_id
-        self.process = None
+        self.process: "subprocess.Popen | None" = None
         self.channel: "FrameChannel | None" = None
         self.alive = False
         self.checkpoint_path = checkpoint_path
@@ -206,7 +233,6 @@ class ShardedPlacementServer(PlacementServer):
         self._degraded: "str | None" = None
         self._handoff_lock = asyncio.Lock()
         self._respawn_tasks: set[asyncio.Task] = set()
-        self._mp = multiprocessing.get_context("spawn")
         self._max_inflight = max_inflight
         self._heartbeat_interval = heartbeat_interval
         self._heartbeat_timeout = heartbeat_timeout
@@ -267,19 +293,28 @@ class ShardedPlacementServer(PlacementServer):
             self._on_worker_connection, "127.0.0.1", 0
         )
         self._worker_port = self._worker_server.sockets[0].getsockname()[1]
-        hellos = []
-        for handle in self._workers:
-            hellos.append(self._await_hello(handle.partition_id))
-            self._spawn(handle)
+        hellos = [
+            asyncio.ensure_future(self._start_worker(handle))
+            for handle in self._workers
+        ]
         try:
             await asyncio.wait_for(
                 asyncio.gather(*hellos), self._start_timeout
             )
-        except asyncio.TimeoutError:
+        except (asyncio.TimeoutError, _WorkerExited) as exc:
+            for hello in hellos:
+                hello.cancel()
+            self._hello_waiters.clear()
+            for handle in self._workers:
+                if handle.process is not None:
+                    await _kill(handle.process)
+            self._worker_server.close()
+            if isinstance(exc, _WorkerExited):
+                raise
             raise ConfigurationError(
                 f"workers did not all connect within "
                 f"{self._start_timeout}s"
-            )
+            ) from None
         self._validate_worker_cursors()
         await self._replay_startup_writebacks()
         # Hand the write lease to the owner of the cursor's lease. Its
@@ -311,26 +346,51 @@ class ShardedPlacementServer(PlacementServer):
         spec["wal_sync_bytes"] = self._wal_sync_bytes
         if self._faults:
             spec["faults"] = dict(self._faults)
-        process = self._mp.Process(
-            target=worker_main,
-            args=(
-                "127.0.0.1",
-                self._worker_port,
-                self._token,
-                handle.partition_id,
-                spec,
-            ),
-            daemon=True,
+        config = {
+            "host": "127.0.0.1",
+            "port": self._worker_port,
+            "token": self._token,
+            "partition_id": handle.partition_id,
+            "spec": spec,
+        }
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (_IMPORT_ROOT, env.get("PYTHONPATH")))
         )
-        process.start()
+        # Same interpreter and flags, same process group; the config
+        # (token included) goes over stdin, never argv or environment.
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                *subprocess._args_from_interpreter_flags(),
+                "-m",
+                "repro.service.worker",
+            ],
+            stdin=subprocess.PIPE,
+            env=env,
+        )
         handle.process = process
+        try:
+            with process.stdin as stdin:
+                stdin.write(json.dumps(config).encode())
+        except BrokenPipeError:
+            pass  # died at startup: _start_worker reports the exit
 
-    def _await_hello(self, partition_id: int) -> asyncio.Future:
-        future: asyncio.Future = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._hello_waiters[partition_id] = future
-        return future
+    async def _start_worker(self, handle: _WorkerHandle) -> None:
+        """Spawn ``handle``'s worker and wait for its hello; raises
+        :class:`_WorkerExited` as soon as the process ends first."""
+        waiter = asyncio.get_running_loop().create_future()
+        self._hello_waiters[handle.partition_id] = waiter
+        self._spawn(handle)
+        process = handle.process
+        while not waiter.done():
+            status = process.poll()
+            if status is not None:
+                raise _WorkerExited(
+                    f"worker {handle.partition_id} exited with status "
+                    f"{status} before connecting"
+                )
+            await asyncio.wait((waiter,), timeout=0.05)
 
     def _validate_worker_cursors(self) -> None:
         # The write-ahead journals can carry a partition past the
@@ -415,10 +475,8 @@ class ShardedPlacementServer(PlacementServer):
             if handle.channel is not None:
                 await handle.channel.close()
             if handle.process is not None:
-                handle.process.join(timeout=10)
-                if handle.process.is_alive():  # pragma: no cover
-                    handle.process.kill()
-                    handle.process.join(timeout=5)
+                if not await _reap(handle.process, 10.0):  # pragma: no cover
+                    await _kill(handle.process)
         for task in list(self._respawn_tasks):
             task.cancel()
         if self._respawn_tasks:
@@ -677,16 +735,14 @@ class ShardedPlacementServer(PlacementServer):
                         self._respawn_backoff * 2 ** (attempt - 2), 5.0
                     )
                 )
-            process = handle.process
-            if process is not None and process.is_alive():
-                process.kill()
-                process.join(timeout=5)
-            waiter = self._await_hello(handle.partition_id)
+            if handle.process is not None:
+                await _kill(handle.process)
             self.metrics.respawns += 1
-            self._spawn(handle)
             try:
-                await asyncio.wait_for(waiter, self._start_timeout)
-            except asyncio.TimeoutError:
+                await asyncio.wait_for(
+                    self._start_worker(handle), self._start_timeout
+                )
+            except (asyncio.TimeoutError, _WorkerExited):
                 self._hello_waiters.pop(handle.partition_id, None)
                 continue
             if await self._adopt_respawned(handle, expected):

@@ -360,6 +360,8 @@ class PlacementEngine:
         python journal), filter the pending releases, place, sweep.
         ``batch`` is None only on the wire path, where Transactions are
         materialized lazily if the kernel punts the batch back."""
+        pending = self._pending_release
+        mark = len(pending)
         if marshalled is not None:
             if not self._validate_kernel(marshalled):
                 # The kernel rolled everything back: the batch touches
@@ -370,14 +372,11 @@ class PlacementEngine:
                 self._apply_inputs(batch)
         else:
             self._apply_inputs(batch)
-        pending = self._pending_release
-        if (
-            _exclude_release
-            and pending
-            and not _exclude_release.isdisjoint(pending)
-        ):
-            pending[:] = [
-                txid for txid in pending if txid not in _exclude_release
+        if _exclude_release:
+            # Only this batch's releases can name an installed parent:
+            # earlier batches dropped their own installs the same way.
+            pending[mark:] = [
+                txid for txid in pending[mark:] if txid not in _exclude_release
             ]
         try:
             if marshalled is not None:

@@ -89,7 +89,7 @@ class FaultPlan:
 class FaultInjector:
     """Arms one :class:`FaultPlan` inside a worker process.
 
-    Wired up by ``worker_main``: ``on_batch_append`` becomes the
+    Wired up by the worker process: ``on_batch_append`` becomes the
     journal's append hook, ``maybe_kill`` is called by the worker at
     the ``place`` and ``writeback`` lifecycle points.
     """

@@ -19,15 +19,21 @@ fused placement loop, and checkpoint serialization. Its life cycle:
 4. on reaching its lease end, export the hot state and ``W_RELEASE``
    the lease; the coordinator grants the next owner.
 
-Run via ``multiprocessing`` (spawn context) from
-:mod:`repro.service.coordinator`; :func:`worker_main` is the process
-entry point.
+The coordinator (:mod:`repro.service.coordinator`) starts each worker
+as a plain subprocess, ``python -m repro.service.worker``, and writes
+its launch config - coordinator address, auth token, partition id and
+spec - as one JSON object to the worker's stdin, so the token never
+shows in ``/proc/<pid>/cmdline`` or the environment. :func:`main`
+reads it and runs the worker until the coordinator shuts it down.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import signal
+import sys
 from typing import Any
 
 from repro.errors import EngineError, ProtocolError
@@ -562,12 +568,24 @@ async def _run_worker(
         journal.close()
 
 
-def worker_main(
-    host: str,
-    port: int,
-    token: str,
-    partition_id: int,
-    spec: dict[str, Any],
-) -> None:
-    """Process entry point (multiprocessing spawn target)."""
-    asyncio.run(_run_worker(host, port, token, partition_id, spec))
+def main() -> None:
+    """``python -m repro.service.worker``: launch config on stdin."""
+    config = json.loads(sys.stdin.buffer.read())
+    sys.stdin.close()
+    # The worker shares the coordinator's process group, so a terminal
+    # ^C reaches it too; shutdown is the coordinator's to orchestrate
+    # (drain, checkpoint, W_SHUTDOWN).
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    asyncio.run(
+        _run_worker(
+            config["host"],
+            config["port"],
+            config["token"],
+            config["partition_id"],
+            config["spec"],
+        )
+    )
+
+
+if __name__ == "__main__":
+    main()

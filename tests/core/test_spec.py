@@ -210,3 +210,56 @@ class TestConstants:
         assert "optchain-topk" in TOPK_METHODS
         assert "t2s-topk" in TOPK_METHODS
         assert NUMPY_METHODS == frozenset({"optchain", "optchain-topk"})
+
+
+def _modules_after(code: str) -> set[str]:
+    """Top-level modules a fresh interpreter holds after running
+    ``code`` (with this checkout's ``src`` first on the path)."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = (
+        code
+        + "\nimport json, sys\n"
+        + "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+class TestFootprint:
+    """numpy is imported only by the modules that build arrays."""
+
+    def test_python_golden_path_never_imports_numpy(self):
+        modules = _modules_after(
+            "import repro.api as api\n"
+            "engine = api.PlacementEngine(\n"
+            "    api.make_placer('optchain:backend=python', 4))\n"
+            "engine.place_batch(api.synthetic_stream(500, seed=3))\n"
+            "assert engine.placer.backend == 'python'\n"
+        )
+        assert "repro" in modules
+        assert "numpy" not in modules
+
+    def test_resolving_auto_never_imports_numpy(self):
+        # What the sharded coordinator does: pick the backend its
+        # workers will run, without mapping numpy itself.
+        modules = _modules_after(
+            "from repro.core.spec import StrategySpec\n"
+            "StrategySpec.parse('optchain').resolve_backend()\n"
+            "StrategySpec.parse('optchain-topk:cap=4').resolve_backend()\n"
+        )
+        assert "numpy" not in modules

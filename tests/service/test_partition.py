@@ -256,6 +256,46 @@ class TestExactness:
         assert merged_tracked == expected.tracked_unspent
 
 
+class TestPendingRelease:
+    @pytest.mark.parametrize("strategy", ["optchain", "optchain:backend=python"])
+    @pytest.mark.parametrize("n_partitions", [2, 3])
+    def test_tail_filter_equals_full_scan(
+        self, stream, monkeypatch, n_partitions, strategy
+    ):
+        """A batch filters its installed parents out of the releases it
+        appended, not the whole pending list. That equals the full scan
+        exactly when nothing pending *before* the batch names a parent
+        it installs - pinned at every call, with the list left holding
+        no installed txid afterwards."""
+        place_validated = PlacementEngine._place_validated
+        calls = {"installs": 0, "filtered": 0}
+
+        def checked(engine, batch, marshalled, exclude):
+            if exclude:
+                calls["installs"] += 1
+                assert exclude.isdisjoint(engine._pending_release)
+            shards = place_validated(engine, batch, marshalled, exclude)
+            if exclude:
+                assert exclude.isdisjoint(engine._pending_release)
+            return shards
+
+        place_batch = EnginePartition.place_batch
+
+        def counted(partition, batch, states=None, **kwargs):
+            shards, writebacks = place_batch(partition, batch, states, **kwargs)
+            # Mask 0: the batch spent an installed parent's last output,
+            # so it was released and had to be filtered.
+            calls["filtered"] += writebacks.masks().count(0)
+            return shards, writebacks
+
+        monkeypatch.setattr(PlacementEngine, "_place_validated", checked)
+        monkeypatch.setattr(EnginePartition, "place_batch", counted)
+        _, expected = reference_placements(stream, strategy)
+        harness = Harness(n_partitions, strategy=strategy)
+        assert harness.place_chunked(stream) == expected
+        assert calls["installs"] > 0 and calls["filtered"] > 0
+
+
 class TestCrossPartitionEdges:
     def test_remote_parent_lookup_owned_by_other_partition(self, stream):
         harness = Harness(2)

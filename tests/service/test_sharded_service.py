@@ -1,8 +1,9 @@
 """The sharded service end to end: coordinator + real worker processes.
 
-Everything here runs over real sockets with real ``multiprocessing``
-workers (spawn context), exactly as ``repro serve --workers N`` does.
-Slowish per test (each spawns worker processes); scales are kept small.
+Everything here runs over real sockets with real worker subprocesses
+(``python -m repro.service.worker``), exactly as ``repro serve
+--workers N`` does. Slowish per test (each spawns worker processes);
+scales are kept small.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from repro.core.placement import make_placer
 from repro.datasets.synthetic import synthetic_stream
+from repro.errors import ConfigurationError
 from repro.service.client import (
     AsyncBinaryPlacementClient,
     AsyncPlacementClient,
@@ -277,6 +279,23 @@ class TestWorkerFailure:
             await client.close()
 
         run_sharded(scenario, n_workers=2, checkpoint_path=base)
+
+    def test_worker_exiting_before_hello_fails_start_at_once(self):
+        # An unknown strategy raises inside the worker's partition
+        # build: start() must report the exit, not wait out the
+        # 120 s start timeout.
+        server = ShardedPlacementServer(
+            {"method": "no-such-strategy", "n_shards": N_SHARDS},
+            2,
+            port=0,
+            lease_length=LEASE,
+        )
+        started = time.monotonic()
+        with pytest.raises(ConfigurationError, match="exited with status"):
+            asyncio.run(server.start())
+        assert time.monotonic() - started < 60
+        for handle in server._workers:
+            assert handle.process.returncode is not None
 
     def test_dead_worker_without_checkpoint_degrades(self, stream):
         # Without a checkpoint path there is no snapshot *and* no
