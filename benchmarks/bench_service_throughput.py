@@ -218,10 +218,10 @@ def bench_numpy_engine(stream, batch_size, repeats, epoch_length, shards):
 def bench_wal_overhead(stream, batch_size, repeats, epoch_length, tmp_dir):
     """Serving cost of the write-ahead batch journal at k=16.
 
-    Same stream, same partition path, WAL off vs on; the on lane feeds
-    pre-encoded wire payloads (as the worker does - the journal never
-    re-encodes on the hot path) and the encode cost sits *outside* the
-    timed loop in both lanes so the delta is journal I/O alone: CRC,
+    Same stream, same partition path, WAL off vs on; both lanes feed
+    pre-decoded wire batches (as the worker does - the journal records
+    their payloads, never re-encoding) and the encode/decode cost sits
+    *outside* the timed loop so the delta is journal I/O alone: CRC,
     framing, buffered write, fsync every ``sync_every_bytes``. CPU
     best-of per the repo's bench protocol; wall recorded for context
     (fsync waits are invisible to ``process_time``).
@@ -230,16 +230,17 @@ def bench_wal_overhead(stream, batch_size, repeats, epoch_length, tmp_dir):
     from repro.service.partition import EnginePartition
     from repro.service.wire import (
         FRAME_HEADER_BYTES,
+        decode_place_arrays,
         encode_place_request,
     )
 
-    chunks = [
-        stream[offset : offset + batch_size]
+    batches = [
+        decode_place_arrays(
+            encode_place_request(0, stream[offset : offset + batch_size])[
+                FRAME_HEADER_BYTES:
+            ]
+        )
         for offset in range(0, len(stream), batch_size)
-    ]
-    payloads = [
-        [encode_place_request(0, chunk)[FRAME_HEADER_BYTES:]]
-        for chunk in chunks
     ]
 
     def build_partition():
@@ -262,8 +263,8 @@ def bench_wal_overhead(stream, batch_size, repeats, epoch_length, tmp_dir):
         partition = build_partition()
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
-        for chunk, raw in zip(chunks, payloads):
-            partition.place_batch(chunk, raw_segments=raw)
+        for batch in batches:
+            partition.place_batch(batch)
         off_cpu = min(off_cpu, time.process_time() - cpu0)
         off_wall = min(off_wall, time.perf_counter() - wall0)
 
@@ -274,8 +275,8 @@ def bench_wal_overhead(stream, batch_size, repeats, epoch_length, tmp_dir):
         partition.journal = journal
         wall0 = time.perf_counter()
         cpu0 = time.process_time()
-        for chunk, raw in zip(chunks, payloads):
-            partition.place_batch(chunk, raw_segments=raw)
+        for batch in batches:
+            partition.place_batch(batch)
         on_cpu = min(on_cpu, time.process_time() - cpu0)
         on_wall = min(on_wall, time.perf_counter() - wall0)
         wal_bytes = journal.tell()

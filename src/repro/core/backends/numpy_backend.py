@@ -16,9 +16,11 @@ two changes:
    (O(n_shards + heap) per *batch*, irrelevant at batch sizes the
    service uses).
 
-2. **The hot loop is the compiled kernel, always.** Every batch - wire
-   columns or ``Transaction`` objects - reaches ``_kernel.c`` as one
-   raw-outpoint CSR (:func:`parent_csr`), which runs the same T2S
+2. **The hot loop is the compiled kernel, always.** Every batch
+   reaches ``_kernel.c`` as one raw-outpoint CSR - a served batch as
+   ``np.frombuffer`` views of its wire columns
+   (:meth:`_ValidationDriver.columns`), a placer-level ``Transaction``
+   list through :func:`parent_csr` - and the kernel runs the same T2S
    recurrence + pruned fitness argmax + proxy update the pure-python
    fused loop performs, placement-for-placement and bit-for-bit (the
    differential tests compare full exported state). There is no
@@ -219,13 +221,13 @@ class NumpyTopKT2SScorer(_NumpyStateMixin, TopKT2SScorer):
         self._init_numpy_state(n_shards)
 
 
-def parent_csr(batch) -> "tuple[list, np.ndarray, np.ndarray]":
-    """``(inputs per tx, parents, in_off)``: the raw-outpoint parent
-    CSR of a ``Transaction`` batch, shaped like the wire decoder's
-    zero-copy columns - the one marshal the placement and validation
-    kernels read. Parent ids go through ``uint64`` and are viewed as
-    ``int64`` exactly as the wire reinterprets them, so both sources hit
-    identical kernel branches; an id >= 2**64 raises ``OverflowError``.
+def parent_csr(batch) -> "tuple[np.ndarray, np.ndarray]":
+    """``(parents, in_off)``: the raw-outpoint parent CSR of a
+    ``Transaction`` batch (the placer's own object entry point), shaped
+    like the kernel's view of a wire batch. Parent ids go through
+    ``uint64`` and are viewed as ``int64`` exactly as the wire columns
+    are, so both sources hit identical kernel branches; an id >= 2**64
+    raises ``OverflowError``.
     """
     all_inputs = [tx.inputs for tx in batch]
     parents = np.array(
@@ -233,7 +235,7 @@ def parent_csr(batch) -> "tuple[list, np.ndarray, np.ndarray]":
     ).view(np.int64)
     in_off = np.zeros(len(all_inputs) + 1, dtype=np.int64)
     np.cumsum(list(map(len, all_inputs)), out=in_off[1:])
-    return all_inputs, parents, in_off
+    return parents, in_off
 
 
 class _KernelDriver:
@@ -491,7 +493,7 @@ class _KernelPlacer:
             if tx.txid != start + n:
                 break
             n += 1
-        _, parents, in_off = parent_csr(batch[:n])
+        parents, in_off = parent_csr(batch[:n])
         shards = self.place_batch_raw(parents, in_off, n)
         if n < len(batch):
             # Same behavior as the python loop: every transaction
@@ -504,11 +506,10 @@ class _KernelPlacer:
         return shards
 
     def place_batch_raw(self, parents, in_off, n_tx) -> list[int]:
-        """Place a raw-outpoint CSR batch (wire arrays or the engine's
-        validation marshal): ``parents`` holds every outpoint's txid,
-        ``in_off`` the per-transaction offsets. Dense txid order is the
-        caller's contract (the engine's marshal and validator both
-        check it)."""
+        """Place a raw-outpoint CSR batch (the kernel's view of a wire
+        batch, or :func:`parent_csr`): ``parents`` holds every
+        outpoint's txid, ``in_off`` the per-transaction offsets. Dense
+        txid order is the caller's contract (the engine checks it)."""
         scorer = self.scorer
         if scorer._pending is not None:
             raise PlacementError(
@@ -592,44 +593,41 @@ class NumpyTopKOptChainPlacer(_KernelPlacer, TopKOptChainPlacer):
 class _ValidationDriver:
     """Kernel-resident batch validation against a :class:`MaskMap`.
 
-    The compiled twin of ``PlacementEngine._apply_inputs``: marshals a
-    batch of transactions into the raw-outpoint CSR, runs
-    ``validate_batch`` in C against the engine's mask store, and maps
-    error codes back to the byte-exact :class:`EngineError` messages.
-    The same CSR then feeds :meth:`_KernelPlacer.place_batch_raw` so
-    the batch is marshalled exactly once per request.
+    The compiled twin of ``PlacementEngine._apply_inputs``: views a
+    :class:`~repro.service.wire.WireBatch` as the raw-outpoint CSR
+    (:meth:`columns`), runs ``validate_batch`` in C against the
+    engine's mask store, and maps error codes back to the byte-exact
+    :class:`EngineError` messages. The same views then feed
+    :meth:`_KernelPlacer.place_batch_raw`.
     """
 
     def __init__(self) -> None:
         self._lib = load_kernel()  # the placer verified availability
 
     @staticmethod
-    def marshal(batch, first_txid: int):
-        """Typed-array CSR for ``batch``, or ``None`` when the batch
-        needs the python journal (non-dense txids report their exact
-        error there; ids beyond the wire's u64/u32 keep python
-        semantics).
+    def columns(batch) -> tuple:
+        """``(parents, indexes, in_off, n_outputs)``: the kernel's view
+        of a :class:`~repro.service.wire.WireBatch`, computed once per
+        engine batch for validation and placement alike.
+        ``np.frombuffer`` views the columns where they lie (the wire's
+        u64/u32 read as int64/int32 - the kernel range-checks them and
+        loads through ``memcpy``, so payload offsets need no alignment);
+        only ``in_off`` is built, by one ``cumsum``.
         """
-        n = len(batch)
-        if [tx.txid for tx in batch] != list(
-            range(first_txid, first_txid + n)
-        ):
-            return None
-        try:
-            all_inputs, parents, in_off = parent_csr(batch)
-            indexes = np.array(
-                [op.index for ins in all_inputs for op in ins],
-                dtype=np.uint32,
-            ).view(np.int32)
-        except OverflowError:
-            return None
-        n_outputs = np.array([len(tx.outputs) for tx in batch], dtype=np.int32)
-        return _MarshalledBatch(
-            first_txid, n, parents, indexes, in_off, n_outputs
+        in_off = np.zeros(batch.n_txs + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(batch.n_inputs, dtype=np.uint32), out=in_off[1:])
+        return (
+            np.frombuffer(batch.parents, dtype=np.int64),
+            np.frombuffer(batch.indexes, dtype=np.int32),
+            in_off,
+            np.frombuffer(batch.n_outputs, dtype=np.int32),
         )
 
-    def validate(self, masks: MaskMap, m, *, horizon_start: int):
-        """Validate + commit ``m`` against ``masks`` in the kernel.
+    def validate(
+        self, masks: MaskMap, first_txid: int, columns, *, horizon_start: int
+    ):
+        """Validate + commit one batch (its :meth:`columns`, txids dense
+        from ``first_txid``) against ``masks`` in the kernel.
 
         Returns ``(released, undo_txids)`` on success - ``released``
         in python event order, ``undo_txids`` the touched parents (or
@@ -639,20 +637,21 @@ class _ValidationDriver:
         Raises :class:`EngineError` with the python journal's exact
         message on an invalid batch, nothing committed.
         """
-        n_tx = m.n_txs
-        masks._grow_to(m.first_txid + n_tx)
-        total_in = int(m.in_off[-1]) if n_tx else 0
+        parents, indexes, in_off, n_outputs = columns
+        n_tx = len(n_outputs)
+        masks._grow_to(first_txid + n_tx)
+        total_in = int(in_off[-1])
         undo_txid = np.empty(total_in, dtype=np.int64)
         undo_mask = np.empty(total_in, dtype=np.int64)
         released = np.empty(total_in + n_tx, dtype=np.int64)
         st = VState()
         st.n_tx = n_tx
-        st.first_txid = m.first_txid
+        st.first_txid = first_txid
         st.horizon_start = horizon_start
-        st.parents = _iptr(m.parents)
-        st.indexes = m.indexes.ctypes.data_as(_c_int32_p)
-        st.in_off = _iptr(m.in_off)
-        st.n_outputs = m.n_outputs.ctypes.data_as(_c_int32_p)
+        st.parents = _iptr(parents)
+        st.indexes = indexes.ctypes.data_as(_c_int32_p)
+        st.in_off = _iptr(in_off)
+        st.n_outputs = n_outputs.ctypes.data_as(_c_int32_p)
         st.masks = _iptr(masks.arr)
         st.undo_txid = _iptr(undo_txid)
         st.undo_mask = _iptr(undo_mask)
@@ -691,31 +690,6 @@ class _ValidationDriver:
         raise RuntimeError(
             f"validation kernel failed with internal status {rc}"
         )
-
-
-class _MarshalledBatch:
-    """Raw-outpoint CSR of one batch (shape-compatible with
-    :class:`repro.service.wire.WireBatch`)."""
-
-    __slots__ = (
-        "first_txid",
-        "n_txs",
-        "parents",
-        "indexes",
-        "in_off",
-        "n_outputs",
-    )
-
-    def __init__(self, first_txid, n_txs, parents, indexes, in_off, n_outputs):
-        self.first_txid = first_txid
-        self.n_txs = n_txs
-        self.parents = parents
-        self.indexes = indexes
-        self.in_off = in_off
-        self.n_outputs = n_outputs
-
-    def __len__(self) -> int:
-        return self.n_txs
 
 
 # Imported lazily by repro.core.spec (backend routing) and

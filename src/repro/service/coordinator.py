@@ -68,18 +68,16 @@ from repro.service.partition import (
 )
 from repro.service.server import DEFAULT_PORT, PlacementServer
 from repro.service.wire import (
-    FRAME_HEADER_BYTES,
     PROTOCOL_VERSION,
     RESPONSE_FLAG,
     STATUS_ERROR_RETRY,
-    decode_place_payload,
+    WireBatch,
+    decode_place_arrays,
     decode_response,
     encode_frame,
-    encode_place_request,
     encode_response_for,
     peek_place_header,
 )
-from repro.utxo.transaction import Transaction
 
 MANIFEST_FORMAT = 1
 
@@ -1002,35 +1000,32 @@ class ShardedPlacementServer(PlacementServer):
         if first // self._lease_length == last // self._lease_length:
             # Entirely inside one lease: forward the raw bytes.
             return await self._route_segments([(first, count, payload)])
-        txs = decode_place_payload(payload)
-        return await self._route_segments(self._split_segments(txs))
+        return await self._place_request(decode_place_arrays(payload))
 
-    async def _place_request(self, txs: list[Transaction]) -> dict:
-        if len(txs) > self._max_batch_txs:
+    async def _place_request(self, batch: WireBatch) -> dict:
+        if len(batch) > self._max_batch_txs:
             raise ProtocolError(
-                f"batch of {len(txs)} exceeds max_batch_txs="
+                f"batch of {len(batch)} exceeds max_batch_txs="
                 f"{self._max_batch_txs}"
             )
-        return await self._route_segments(self._split_segments(txs))
+        return await self._route_segments(self._split_segments(batch))
 
     def _split_segments(
-        self, txs: list[Transaction]
+        self, batch: WireBatch
     ) -> list[tuple[int, int, bytes]]:
+        """``(first_txid, count, payload)`` per lease the batch touches:
+        column slices, output content included."""
         segments = []
-        start = 0
         lease_length = self._lease_length
-        while start < len(txs):
-            first = txs[start].txid
-            end_txid = (first // lease_length + 1) * lease_length
-            sub = txs[start : start + (end_txid - first)]
-            segments.append(
-                (
-                    first,
-                    len(sub),
-                    encode_place_request(0, sub)[FRAME_HEADER_BYTES:],
-                )
+        start = 0
+        while start < len(batch):
+            first = batch.first_txid + start
+            stop = min(
+                len(batch),
+                (first // lease_length + 1) * lease_length - batch.first_txid,
             )
-            start += len(sub)
+            segments.append((first, stop - start, batch.payload(start, stop)))
+            start = stop
         return segments
 
     async def _route_segments(

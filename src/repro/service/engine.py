@@ -38,11 +38,12 @@ placements), amortizing the sweep to O(1) per transaction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.core.placement import PlacementStrategy
 from repro.core.scorer import PlacementScorer
-from repro.errors import ConfigurationError, EngineError
+from repro.errors import ConfigurationError, EngineError, ProtocolError
+from repro.service.wire import WireBatch, as_wire_batch
 from repro.utxo.transaction import Transaction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -293,85 +294,97 @@ class PlacementEngine:
         - remotely-owned parents are released by their owning partition
         on writeback, and the local copies are transient installs.
         """
-        if self._poisoned:
-            raise EngineError(
-                "engine is poisoned: a placement failure after batch "
-                "validation left bookkeeping and placements out of "
-                "step; restore the last checkpoint"
-            )
         batch = txs if isinstance(txs, list) else list(txs)
-        marshalled = None
-        if self._validator is not None:
-            marshalled = self._validator.marshal(
-                batch, self._placer.n_placed
-            )
-        return self._place_validated(batch, marshalled, _exclude_release)
+        if self._validator is not None and self.drift_monitor is None:
+            try:
+                wire_batch = as_wire_batch(batch, full_outputs=False)
+            except ProtocolError:
+                # Empty, non-contiguous, or ids wider than the wire's
+                # u64/u32 columns: the python journal decides, with its
+                # exact error text (a wide output index is even valid
+                # on a spend behind the horizon).
+                pass
+            else:
+                return self.place_wire_batch(
+                    wire_batch, _exclude_release=_exclude_release
+                )
+        return self._place_objects(batch, _exclude_release)
 
     def place_wire_batch(
         self,
-        wire_batch: Any,
+        wire_batch: "WireBatch",
         *,
         _exclude_release: "frozenset[int] | set[int] | None" = None,
     ) -> list[int]:
-        """Place one decoded binary ``place`` payload
-        (:class:`repro.service.wire.WireBatch`) without materializing
-        :class:`Transaction` objects - the frame's C-contiguous arrays
-        feed the validation and placement kernels directly.
-
-        Falls back to the object path (byte-identical replies, same
-        errors) when kernel validation is off or a drift monitor needs
-        the objects.
+        """Place one :class:`~repro.service.wire.WireBatch` - the form
+        every served batch takes. A kernel-validating engine views its
+        columns in C and builds no :class:`Transaction`; python
+        backends and drift-monitored engines (the shadow placer reads
+        objects) materialize the batch, as does a kernel ``FALLBACK``.
+        Same placements and errors either way.
         """
         if self._validator is None or self.drift_monitor is not None:
-            return self.place_batch(
-                self._materialize(wire_batch),
-                _exclude_release=_exclude_release,
+            return self._place_objects(
+                wire_batch.transactions(), _exclude_release
             )
-        if self._poisoned:
-            raise EngineError(
-                "engine is poisoned: a placement failure after batch "
-                "validation left bookkeeping and placements out of "
-                "step; restore the last checkpoint"
-            )
+        self._check_poisoned()
         first = wire_batch.first_txid
         if first != self._placer.n_placed:
             raise EngineError(
                 f"transactions must arrive in dense stream order: "
                 f"got {first}, expected {self._placer.n_placed}"
             )
-        return self._place_validated(None, wire_batch, _exclude_release)
+        columns = self._validator.columns(wire_batch)
+        mark = len(self._pending_release)
+        if not self._validate_kernel(first, columns):
+            # The kernel rolled everything back: the batch touches
+            # arbitrary-precision masks or >62-output transactions.
+            # The python journal handles it exactly (rare, cold).
+            self._apply_inputs(wire_batch.transactions())
+        parents, _, in_off, _ = columns
+        return self._commit(
+            mark,
+            _exclude_release,
+            lambda: self._placer.place_batch_raw(
+                parents, in_off, wire_batch.n_txs
+            ),
+        )
 
-    @staticmethod
-    def _materialize(wire_batch: Any) -> list[Transaction]:
-        from repro.service.wire import decode_place_payload
-
-        batch: list[Transaction] = []
-        for payload in wire_batch.payloads:
-            batch.extend(decode_place_payload(payload))
-        return batch
-
-    def _place_validated(
+    def _place_objects(
         self,
-        batch: "list[Transaction] | None",
-        marshalled: Any,
+        batch: list[Transaction],
         _exclude_release: "frozenset[int] | set[int] | None",
     ) -> list[int]:
-        """Common tail of the two entry points: validate (kernel or
-        python journal), filter the pending releases, place, sweep.
-        ``batch`` is None only on the wire path, where Transactions are
-        materialized lazily if the kernel punts the batch back."""
+        """The python spend journal, then the placer's object path."""
+        self._check_poisoned()
+        mark = len(self._pending_release)
+        self._apply_inputs(batch)
+        return self._commit(
+            mark,
+            _exclude_release,
+            lambda: self._placer.place_batch(batch),
+            batch,
+        )
+
+    def _check_poisoned(self) -> None:
+        if self._poisoned:
+            raise EngineError(
+                "engine is poisoned: a placement failure after batch "
+                "validation left bookkeeping and placements out of "
+                "step; restore the last checkpoint"
+            )
+
+    def _commit(
+        self,
+        mark: int,
+        _exclude_release: "frozenset[int] | set[int] | None",
+        place: "Callable[[], list[int]]",
+        batch: "list[Transaction] | None" = None,
+    ) -> list[int]:
+        """Common tail of a validated batch: filter the pending
+        releases, place, feed the drift shadow (``batch`` is the object
+        form it reads), sweep."""
         pending = self._pending_release
-        mark = len(pending)
-        if marshalled is not None:
-            if not self._validate_kernel(marshalled):
-                # The kernel rolled everything back: the batch touches
-                # arbitrary-precision masks or >62-output transactions.
-                # The python journal handles it exactly (rare, cold).
-                if batch is None:
-                    batch = self._materialize(marshalled)
-                self._apply_inputs(batch)
-        else:
-            self._apply_inputs(batch)
         if _exclude_release:
             # Only this batch's releases can name an installed parent:
             # earlier batches dropped their own installs the same way.
@@ -379,12 +392,7 @@ class PlacementEngine:
                 txid for txid in pending[mark:] if txid not in _exclude_release
             ]
         try:
-            if marshalled is not None:
-                shards = self._placer.place_batch_raw(
-                    marshalled.parents, marshalled.in_off, marshalled.n_txs
-                )
-            else:
-                shards = self._placer.place_batch(batch)
+            shards = place()
         except Exception:
             # Validation passed, so this is a placer bug (or a placer
             # violating the snapshotable contract); the spent-output
@@ -405,10 +413,13 @@ class PlacementEngine:
                 self._sweep_exclude = None
         return shards
 
-    def _validate_kernel(self, marshalled: Any) -> bool:
+    def _validate_kernel(self, first: int, columns: tuple) -> bool:
         """Kernel-side :meth:`_apply_inputs`; True when it committed."""
         result = self._validator.validate(
-            self._remaining, marshalled, horizon_start=self._horizon_start
+            self._remaining,
+            first,
+            columns,
+            horizon_start=self._horizon_start,
         )
         if result is None:
             return False

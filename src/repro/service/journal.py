@@ -75,7 +75,7 @@ from repro.service.partition import (
     ParentStates,
     Writebacks,
 )
-from repro.service.wire import decode_place_payload
+from repro.service.wire import concat_wire_batches, decode_place_arrays
 
 JOURNAL_MAGIC = b"OCWAL\x00"
 JOURNAL_VERSION = 2
@@ -414,9 +414,9 @@ def replay_journal(
     for rtype, payload in records:
         if rtype == REC_BATCH:
             segments, states = _decode_batch_payload(payload)
-            batch = []
-            for segment in segments:
-                batch.extend(decode_place_payload(segment))
+            batch = concat_wire_batches(
+                [decode_place_arrays(segment) for segment in segments]
+            )
             try:
                 _shards, writebacks = partition.place_batch(
                     batch, ParentStates.from_bytes(states)

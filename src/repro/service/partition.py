@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import struct
-import sys
 from array import array
 from typing import Any, Sequence
 
@@ -56,9 +55,11 @@ from repro.core.optchain import LoadProxyLatencyProvider
 from repro.errors import ConfigurationError, EngineError, ProtocolError
 from repro.service.engine import PlacementEngine
 from repro.service.wire import (
-    FRAME_HEADER_BYTES,
+    ColumnReader,
     WireBatch,
-    encode_place_request,
+    as_wire_batch,
+    column,
+    column_bytes,
 )
 from repro.utxo.transaction import Transaction
 
@@ -89,35 +90,16 @@ def owner_of(txid: int, lease_length: int, n_partitions: int) -> int:
 #
 # A buffer holds any number of frames back to back (the coordinator
 # joins the owners' replies without parsing them); decoding one joins
-# the columns.
+# the columns. Columns are read and written by the codec ``place``
+# payloads use (:class:`repro.service.wire.ColumnReader`).
 
-_LITTLE_ENDIAN = sys.byteorder == "little"
 _U32 = struct.Struct("<I")
-_ITEMSIZE = {"q": 8, "d": 8, "i": 4}
 #: ``mask`` slot of a mask too wide for an int64; its exact value is the
 #: next entry of the frame's spill list. Sentinel and width rule are
 #: :class:`~repro.core.backends.arrays.MaskMap`'s, so array-backed state
 #: moves its slots through a frame unconverted. Slot 0 is "no mask".
 MASK_SPILL = -1
 _MASK_INLINE_BITS = 62
-
-
-def _column(typecode: str, values):
-    """A typed column: arrays and views pass through, lists pack."""
-    if not hasattr(values, "tolist"):
-        return array(typecode, values)
-    if memoryview(values).itemsize != _ITEMSIZE[typecode]:
-        raise TypeError(f"column is not of type '{typecode}'")
-    return values
-
-
-def _column_bytes(column) -> memoryview:
-    view = memoryview(column)
-    if not _LITTLE_ENDIAN:  # pragma: no cover - no BE host in CI
-        swapped = array(view.format, view)
-        swapped.byteswap()
-        view = memoryview(swapped)
-    return view.cast("B")
 
 
 def pack_masks(masks) -> tuple[list[int], list[int]]:
@@ -134,44 +116,9 @@ def pack_masks(masks) -> tuple[list[int], list[int]]:
     return slots, spill
 
 
-class _FrameReader:
-    """Sequential typed columns out of one buffer, as zero-copy
-    ``memoryview`` casts: ``.tolist()`` feeds plain loops and the buffer
-    protocol feeds ``np.asarray`` views, so reading needs no numpy."""
-
-    __slots__ = ("_view", "offset")
-
-    def __init__(self, buf) -> None:
-        self._view = memoryview(buf)
-        self.offset = 0
-
-    def _advance(self, nbytes: int, what: str) -> memoryview:
-        end = self.offset + nbytes
-        if end > len(self._view):
-            raise ProtocolError(
-                f"frame truncated: wanted {nbytes} bytes for {what}, "
-                f"had {len(self._view) - self.offset}"
-            )
-        chunk = self._view[self.offset : end]
-        self.offset = end
-        return chunk
-
-    def header(self, layout: struct.Struct) -> tuple:
-        return layout.unpack(self._advance(layout.size, "a header"))
-
-    def take(self, typecode: str, count: int):
-        column = self._advance(
-            count * _ITEMSIZE[typecode], f"{count} '{typecode}' entries"
-        ).cast(typecode)
-        if not _LITTLE_ENDIAN:  # pragma: no cover - no BE host in CI
-            column = array(typecode, column)
-            column.byteswap()
-        return column
-
-
 def txids_to_bytes(txids) -> bytes:
     """A bare txid column (the ``W_ACQUIRE`` / ``W_READ`` request)."""
-    return bytes(_column_bytes(_column("q", txids)))
+    return bytes(column_bytes(column("q", txids)))
 
 
 def txids_from_bytes(payload: bytes):
@@ -179,7 +126,7 @@ def txids_from_bytes(payload: bytes):
         raise ProtocolError(
             f"txid column of {len(payload)} bytes is not whole i64 entries"
         )
-    return _FrameReader(payload).take("q", len(payload) // 8)
+    return ColumnReader(payload).take("q", len(payload) // 8)
 
 
 class _Frame:
@@ -203,7 +150,7 @@ class _Frame:
             setattr(
                 self,
                 name,
-                None if values is None else _column(typecode, values),
+                None if values is None else column(typecode, values),
             )
         self.spill = list(spill)
         self._raw: "bytes | None" = None
@@ -229,13 +176,13 @@ class _Frame:
             flags = entries = 0
             sections = []
             for name, _typecode, bit, per_entry in self._COLUMNS:
-                column = getattr(self, name)
-                if column is None:
+                values = getattr(self, name)
+                if values is None:
                     continue
                 flags |= bit
                 if per_entry:
-                    entries = len(column)
-                sections.append(_column_bytes(column))
+                    entries = len(values)
+                sections.append(column_bytes(values))
             for mask in self.spill:
                 raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
                 sections += (_U32.pack(len(raw)), raw)
@@ -249,7 +196,7 @@ class _Frame:
     def from_bytes(cls, buf) -> "Any":
         """Decode every frame in ``buf`` into one (raises
         :class:`~repro.errors.ProtocolError` on malformed bytes)."""
-        reader = _FrameReader(buf)
+        reader = ColumnReader(buf)
         frames = []
         while reader.offset < len(buf):
             frames.append(cls._decode(reader))
@@ -278,7 +225,7 @@ class _Frame:
         return frame
 
     @classmethod
-    def _decode(cls, reader: _FrameReader) -> "Any":
+    def _decode(cls, reader: ColumnReader) -> "Any":
         rows, flags, n_spill, entries = reader.header(cls._HEADER)
         known = 0
         columns = []
@@ -301,7 +248,7 @@ class _Frame:
             (length,) = reader.header(_U32)
             frame.spill.append(
                 int.from_bytes(
-                    reader._advance(length, "a spilled mask"), "little"
+                    reader.advance(length, "a spilled mask"), "little"
                 )
             )
         frame._check(entries)
@@ -781,7 +728,9 @@ class EnginePartition:
 
     # -- the active (write-lease) path -------------------------------------
 
-    def parents_needed(self, batch: Sequence[Transaction]) -> list[int]:
+    def parents_needed(
+        self, batch: "Sequence[Transaction] | WireBatch"
+    ) -> list[int]:
         """Foreign parent txids this batch reads, sorted.
 
         Parents created inside the batch itself are local by
@@ -789,41 +738,33 @@ class EnginePartition:
         vector/mask/count are masked off at install time (the engine
         treats them as released), but their *assignment* feeds the
         fitness rule's input-shard term regardless of the horizon.
+        Pure python over the ``parents`` column (no numpy).
         """
         if self.n_partitions == 1 or not batch:
             return []
-        if isinstance(batch, WireBatch):
-            # Vectorized over the frame's parent array - no Transaction
-            # objects on the wire fast path.
-            from repro.core.backends.arrays import sorted_unique
-
-            parents = batch.parents
-            foreign = parents[parents < batch.first_txid]
-            if not foreign.size:
-                return []
-            unique = sorted_unique(foreign)
-            owners = (unique // self.lease_length) % self.n_partitions
-            return unique[owners != self.partition_id].tolist()
-        first = batch[0].txid
+        batch = as_wire_batch(batch, full_outputs=False)
         lease_length = self.lease_length
         n_partitions = self.n_partitions
         mine = self.partition_id
-        needed: set[int] = set()
-        for tx in batch:
-            for outpoint in tx.inputs:
-                parent = outpoint.txid
-                if (
-                    parent < first
-                    and (parent // lease_length) % n_partitions != mine
-                ):
-                    needed.add(parent)
-        return sorted(needed)
+        cut = batch.first_txid
+        if self.owns_txid(cut):
+            # The batch's lease up to the batch is this partition's
+            # own: only parents from earlier leases can be foreign, and
+            # most parents are recent (this test discards them first).
+            cut -= cut % lease_length
+        return sorted(
+            {
+                parent
+                for parent in batch.parents
+                if parent < cut
+                and (parent // lease_length) % n_partitions != mine
+            }
+        )
 
     def place_batch(
         self,
-        batch: Sequence[Transaction],
+        batch: "Sequence[Transaction] | WireBatch",
         remote_parents: "ParentStates | None" = None,
-        raw_segments: "Sequence[bytes] | None" = None,
     ) -> tuple[list[int], Writebacks]:
         """Place one owned batch; returns ``(shards, writebacks)``.
 
@@ -834,32 +775,23 @@ class EnginePartition:
         placeholder state, so a failed batch leaves both this partition
         and every owner byte-identical to before the call.
 
-        ``raw_segments`` are the wire-format place payloads the batch
-        was coalesced from, passed through to the write-ahead journal
-        unre-encoded (the worker already holds them). Without them a
-        journaling partition re-encodes the batch itself - same bytes
-        the coordinator's boundary splitter produces.
+        A journaling partition records the batch's wire payloads
+        verbatim (a ``Transaction`` list becomes a
+        :class:`~repro.service.wire.WireBatch` first).
         """
-        wire_batch = isinstance(batch, WireBatch)
+        if not batch:
+            return [], _NO_WRITEBACKS
+        batch = as_wire_batch(batch)
         states = remote_parents or _NO_STATES
-        if self.journal is not None and batch:
-            if raw_segments is None:
-                if wire_batch:
-                    raw_segments = list(batch.payloads)
-                else:
-                    raw_segments = [
-                        encode_place_request(0, batch)[FRAME_HEADER_BYTES:]
-                    ]
+        if self.journal is not None:
             # Append *before* placing: the journal stays a superset of
             # externally visible state, and a deterministic reject
             # simply re-fails (as a no-op) on replay.
-            self.journal.append_batch(raw_segments, states)
-        engine = self._engine
-        place = engine.place_wire_batch if wire_batch else engine.place_batch
+            self.journal.append_batch(batch.payloads, states)
+        place = self._engine.place_wire_batch
         if self.n_partitions == 1:
             return place(batch), _NO_WRITEBACKS
-        if batch:
-            self.pad_to(batch.first_txid if wire_batch else batch[0].txid)
+        self.pad_to(batch.first_txid)
         if not states:
             return place(batch), _NO_WRITEBACKS
         installed = states.txids.tolist()
@@ -871,6 +803,7 @@ class EnginePartition:
                 "parent states (txids beyond its cursor, or another "
                 "strategy's columns)"
             )
+        engine = self._engine
         try:
             self._ops.install(states, engine.horizon_start)
             shards = place(batch, _exclude_release=frozenset(installed))
@@ -931,7 +864,7 @@ class EnginePartition:
     def read_parents(self, txids: Sequence[int]) -> ParentStates:
         """State of owned parents (distinct txids), for installation by
         the active partition."""
-        txids = _column("q", txids)
+        txids = column("q", txids)
         self._check_held(txids.tolist())
         return self._ops.read(txids)
 

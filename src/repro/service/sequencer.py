@@ -5,75 +5,26 @@ Clients replay disjoint chunks of one global txid stream (see
 in, only the contiguous run starting at the engine cursor is
 dispatchable. This module owns that logic once, for the single-process
 server (:mod:`repro.service.server`) and for every worker of the
-sharded service (:mod:`repro.service.worker`): payload decode (zero-copy
-:class:`~repro.service.wire.WireBatch` or ``Transaction`` list),
-admission, the reorder buffer, coalescing, atomic-reject replay and
-reply splitting. The owner supplies the cursor, the assignment record
-and the ``place`` coroutine; the worker wraps its lease, engine-lock,
-remote-parent and write-ahead-journal steps around these calls.
+sharded service (:mod:`repro.service.worker`): admission, the reorder
+buffer, coalescing, atomic-reject replay and reply splitting. Every
+request is a :class:`~repro.service.wire.WireBatch` - whatever codec it
+arrived in - so a run coalesces by joining columns
+(:func:`~repro.service.wire.concat_wire_batches`) and reaches the
+owner's ``place`` coroutine as one batch. The owner supplies the
+cursor, the assignment record and that coroutine; the worker wraps its
+lease, engine-lock, remote-parent and write-ahead-journal steps around
+these calls.
 """
 
 from __future__ import annotations
 
 import asyncio
 from time import perf_counter
-from typing import Any, Awaitable, Callable
+from typing import Awaitable, Callable
 
 from repro.errors import EngineError
 from repro.obs.metrics import ServiceMetrics
-from repro.service.wire import (
-    WireBatch,
-    concat_wire_batches,
-    decode_place_arrays,
-    decode_place_payload,
-)
-from repro.utxo.transaction import Transaction
-
-
-def wire_path_active(engine: Any) -> bool:
-    """True when ``place`` frames can stay numpy views end to end
-    (wire -> kernel): the compiled validator is on and no drift monitor
-    needs ``Transaction`` objects."""
-    return engine.kernel_validation and engine.drift_monitor is None
-
-
-def decode_place(
-    payload: bytes, wire_arrays: bool
-) -> "list[Transaction] | WireBatch":
-    """One binary ``place`` payload, as the engine will consume it."""
-    # None: the frame uses an encoding the array decoder does not cover
-    # (full outputs) - the object decoder handles it with identical
-    # validation.
-    batch = decode_place_arrays(payload) if wire_arrays else None
-    return decode_place_payload(payload) if batch is None else batch
-
-
-def first_txid(txs: "list[Transaction] | WireBatch") -> int:
-    return txs.first_txid if isinstance(txs, WireBatch) else txs[0].txid
-
-
-def merge_members(
-    members: "list[list[Transaction] | WireBatch]",
-) -> "list[Transaction] | WireBatch":
-    """Fuse a contiguous run of queued requests into one engine batch.
-
-    All-array members concatenate without touching a Transaction
-    object; a mixed run (an NDJSON request or a full-output frame
-    coalesced with array frames) falls back to one object list, since
-    the engine takes a batch of exactly one kind.
-    """
-    if len(members) == 1:
-        return members[0]
-    if all(isinstance(member, WireBatch) for member in members):
-        return concat_wire_batches(members)
-    batch: list[Transaction] = []
-    for member in members:
-        if isinstance(member, WireBatch):
-            for payload in member.payloads:
-                batch.extend(decode_place_payload(payload))
-        else:
-            batch.extend(member)
-    return batch
+from repro.service.wire import WireBatch, concat_wire_batches
 
 
 class RunFailed(Exception):
@@ -90,23 +41,14 @@ def failure(code: str, error: str) -> dict:
 
 
 class PendingRequest:
-    """One decoded ``place`` request waiting for the cursor.
+    """One decoded ``place`` request waiting for the cursor."""
 
-    ``payload`` is the raw wire payload when the owner journals batches
-    (the write-ahead journal records the exact post-routing frame
-    without re-encoding), else None.
-    """
-
-    __slots__ = ("txs", "payload", "future")
+    __slots__ = ("batch", "future")
 
     def __init__(
-        self,
-        txs: "list[Transaction] | WireBatch",
-        payload: "bytes | None",
-        future: "asyncio.Future[dict]",
+        self, batch: WireBatch, future: "asyncio.Future[dict]"
     ) -> None:
-        self.txs = txs
-        self.payload = payload
+        self.batch = batch
         self.future = future
 
     def resolve(self, shards: list[int]) -> None:
@@ -153,16 +95,12 @@ class Sequencer:
         #: (shutdown, lease grant, resume).
         self.wakeup = asyncio.Event()
 
-    async def submit(
-        self,
-        txs: "list[Transaction] | WireBatch",
-        payload: "bytes | None" = None,
-    ) -> dict:
+    async def submit(self, batch: WireBatch) -> dict:
         """The reply to one ``place`` request: at once when it is
         answerable from the record or must be refused, else when the
         dispatcher has placed (or failed) it."""
-        first = first_txid(txs)
-        count = len(txs)
+        first = batch.first_txid
+        count = len(batch)
         cursor = self._cursor()
         if first < cursor:
             # A range placed *in full* is answered from the recorded
@@ -197,7 +135,7 @@ class Sequencer:
         future: "asyncio.Future[dict]" = (
             asyncio.get_running_loop().create_future()
         )
-        self.pending[first] = PendingRequest(txs, payload, future)
+        self.pending[first] = PendingRequest(batch, future)
         self.wakeup.set()
         return await future
 
@@ -216,7 +154,7 @@ class Sequencer:
         cursor = self._cursor()
         for key in [key for key in pending if key < cursor]:
             stale = pending.pop(key)
-            count = len(stale.txs)
+            count = len(stale.batch)
             if key + count <= cursor:
                 stale.resolve(self._assignment_slice(key, count))
             else:
@@ -225,26 +163,23 @@ class Sequencer:
         if entry is None:
             return None
         group = [entry]
-        total = len(entry.txs)
+        total = len(entry.batch)
         while total < self._max_batch_txs:
             follower = pending.pop(cursor + total, None)
             if follower is None:
                 break
             group.append(follower)
-            total += len(follower.txs)
+            total += len(follower.batch)
         return group
 
     async def place_run(
         self,
         group: list[PendingRequest],
-        place: Callable[
-            ["list[Transaction] | WireBatch", "list[bytes | None]"],
-            Awaitable[list[int]],
-        ],
+        place: Callable[[WireBatch], Awaitable[list[int]]],
     ) -> None:
         """Place one run from :meth:`take_run` and answer its requests.
 
-        ``place(batch, payloads)`` returns the batch's shards or raises
+        ``place(batch)`` returns the batch's shards or raises
         :class:`~repro.errors.EngineError` with nothing changed.
         """
         if await self._place_once(group, place, len(group) == 1):
@@ -260,12 +195,10 @@ class Sequencer:
         slice of the shards or the failure - except after an engine
         reject without ``answer_reject``, which returns True instead."""
         metrics = self._metrics
-        batch = merge_members([member.txs for member in members])
+        batch = concat_wire_batches([member.batch for member in members])
         try:
             started = perf_counter()
-            shards = await place(
-                batch, [member.payload for member in members]
-            )
+            shards = await place(batch)
             metrics.record_batch(len(batch), perf_counter() - started)
         except RunFailed as exc:
             code, error = exc.args
@@ -281,7 +214,7 @@ class Sequencer:
         else:
             offset = 0
             for member in members:
-                count = len(member.txs)
+                count = len(member.batch)
                 member.resolve(shards[offset : offset + count])
                 offset += count
             return False

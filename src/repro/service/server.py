@@ -18,21 +18,19 @@ Architecture (single process, single event loop):
   configured, and only then closes - a restarted server resumes from
   the checkpoint bit-identically.
 
-Which traffic rides which path is decided per frame, not per server:
-
-- **Binary ``place`` frames on a kernel-validating engine** (e.g.
-  ``optchain:backend=numpy`` with the compiled kernel, no drift
-  monitor) decode to zero-copy :class:`~repro.service.wire.WireBatch`
-  views, coalesce by array concatenation and enter
-  :meth:`~repro.service.engine.PlacementEngine.place_wire_batch`: no
-  ``Transaction`` object exists between the socket and the C kernel.
-- **Everything else** - NDJSON requests, full-output frames, python
-  backends, drift-monitored engines (the shadow placer reads
-  ``Transaction`` objects), and a vectorized backend whose kernel is
-  unavailable (one ``RuntimeWarning``, then served) - decodes to
-  objects and enters ``place_batch``. A contiguous run mixing both
-  kinds is placed as one object batch. Replies are byte-identical on
-  either path.
+All traffic rides one path. A binary ``place`` payload decodes to a
+zero-copy :class:`~repro.service.wire.WireBatch` (numpy-free typed
+columns over the payload bytes); an NDJSON request decodes to
+``Transaction`` objects and becomes a ``WireBatch`` at once
+(:func:`~repro.service.wire.as_wire_batch`). Requests wait, coalesce
+(by joining columns) and enter
+:meth:`~repro.service.engine.PlacementEngine.place_wire_batch` in that
+one form, full-output frames included. The engine decides what the
+batch needs: a kernel-validating engine (e.g. ``optchain:backend=numpy``)
+views the columns in C without building a ``Transaction``; python
+backends and drift-monitored engines (the shadow placer reads objects)
+materialize the batch there, as does a kernel ``FALLBACK`` (>62-bit
+spend masks). Replies are byte-identical whichever engine serves.
 
 Placement intentionally runs *on* the event loop: decode, sequencing
 and the python backends are GIL-bound, so a worker thread would
@@ -52,25 +50,21 @@ from repro.obs.metrics import (
 )
 from repro.obs.prom import MetricsServer, render_families
 from repro.service.engine import PlacementEngine
-from repro.service.sequencer import (
-    Sequencer,
-    decode_place,
-    failure,
-    wire_path_active,
-)
+from repro.service.sequencer import Sequencer, failure
 from repro.service.wire import (
     BIN_MAGIC,
     KIND_PLACE,
     OPS,
     PROTOCOL_VERSION,
     WireBatch,
+    as_wire_batch,
     decode_batch,
+    decode_place_arrays,
     encode_error_response,
     encode_response_for,
     op_of_kind,
     read_frame,
 )
-from repro.utxo.transaction import Transaction
 
 DEFAULT_PORT = 9171
 
@@ -519,28 +513,26 @@ class PlacementServer:
         return size
 
     async def _handle_place(self, message: dict) -> dict:
-        return await self._place_request(decode_batch(message.get("txs")))
+        return await self._place_request(
+            as_wire_batch(decode_batch(message.get("txs")))
+        )
 
     async def _place_frame(self, payload: bytes) -> dict:
         """Binary ``place``: decode here, place locally. The sharded
         coordinator overrides this to route the *raw payload* to the
         owning worker without decoding it."""
-        return await self._place_request(
-            decode_place(payload, wire_path_active(self._engine))
-        )
+        return await self._place_request(decode_place_arrays(payload))
 
-    async def _place_request(
-        self, txs: "list[Transaction] | WireBatch"
-    ) -> dict:
+    async def _place_request(self, batch: WireBatch) -> dict:
         """Sequence one decoded ``place`` batch (both codecs land here)."""
         if self._stopping:
             return failure("shutdown", "server is shutting down")
-        if len(txs) > self._max_batch_txs:
+        if len(batch) > self._max_batch_txs:
             raise ProtocolError(
-                f"batch of {len(txs)} exceeds max_batch_txs="
+                f"batch of {len(batch)} exceeds max_batch_txs="
                 f"{self._max_batch_txs}"
             )
-        return await self._sequencer.submit(txs)
+        return await self._sequencer.submit(batch)
 
     # -- the dispatcher ----------------------------------------------------
 
@@ -570,12 +562,8 @@ class PlacementServer:
             await sequencer.place_run(group, self._place)
             await asyncio.sleep(0)
 
-    async def _place(
-        self, batch: "list[Transaction] | WireBatch", _payloads: list
-    ) -> list[int]:
-        if isinstance(batch, WireBatch):
-            return self._engine.place_wire_batch(batch)
-        return self._engine.place_batch(batch)
+    async def _place(self, batch: WireBatch) -> list[int]:
+        return self._engine.place_wire_batch(batch)
 
 
 async def start_server(

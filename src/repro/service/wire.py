@@ -71,6 +71,11 @@ packed i32 array, a JSON payload is the response object minus the
 ``id`` (which travels in the header), an error payload is the UTF-8
 message with the code in the kind byte. Both codecs surface the same
 response dict shape, so client error mapping is shared.
+
+Past the codec, a ``place`` batch has one form: :class:`WireBatch`,
+numpy-free typed columns. Binary payloads decode straight to it
+(:func:`decode_place_arrays`); NDJSON objects become one at the edge
+(:func:`as_wire_batch`).
 """
 
 from __future__ import annotations
@@ -190,14 +195,19 @@ def decode_batch(objs: Any) -> list[Transaction]:
     if not objs:
         raise ProtocolError("txs must not be empty")
     batch = [decode_tx(entry) for entry in objs]
-    first = batch[0].txid
-    for index, tx in enumerate(batch):
-        if tx.txid != first + index:
-            raise ProtocolError(
-                f"txs must form a contiguous txid run: position {index} "
-                f"has txid {tx.txid}, expected {first + index}"
-            )
+    _check_contiguous([tx.txid for tx in batch])
     return batch
+
+
+def _check_contiguous(txids: list[int]) -> None:
+    first = txids[0]
+    if txids != list(range(first, first + len(txids))):
+        for index, txid in enumerate(txids):
+            if txid != first + index:
+                raise ProtocolError(
+                    f"txs must form a contiguous txid run: position "
+                    f"{index} has txid {txid}, expected {first + index}"
+                )
 
 
 def encode_batch(
@@ -261,46 +271,79 @@ _STATUS_TO_CODE = {
 _CODE_TO_STATUS = {code: status for status, code in _STATUS_TO_CODE.items()}
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
+_ITEMSIZE = {"q": 8, "Q": 8, "d": 8, "i": 4, "I": 4}
 
 
-def _packed(typecode: str, values) -> bytes:
-    """Little-endian bytes of one typed array (byteswapped on BE hosts)."""
-    data = array(typecode, values)
+# -- typed columns -----------------------------------------------------------
+#
+# ``place`` payloads here and the parent-state / writeback frames of
+# :mod:`repro.service.partition` are a header plus little-endian typed
+# columns; these helpers read and write both, without numpy, and
+# reading is zero-copy.
+
+
+def column(typecode: str, values):
+    """A typed column: arrays and buffer views pass through, anything
+    else packs into an ``array``."""
+    if not hasattr(values, "tolist"):
+        return array(typecode, values)
+    if memoryview(values).itemsize != _ITEMSIZE[typecode]:
+        raise TypeError(f"column is not of type '{typecode}'")
+    return values
+
+
+def column_bytes(values) -> memoryview:
+    """Little-endian bytes of a typed column (byteswapped on BE hosts)."""
+    view = memoryview(values)
     if not _LITTLE_ENDIAN:  # pragma: no cover - no BE host in CI
-        data.byteswap()
-    return data.tobytes()
+        swapped = array(view.format, view)
+        swapped.byteswap()
+        view = memoryview(swapped)
+    return view.cast("B")
 
 
-class _ArrayReader:
-    """Sequential typed-array sections out of one payload buffer."""
+class ColumnReader:
+    """Sequential typed columns out of one buffer, as zero-copy
+    ``memoryview`` casts: iteration and ``.tolist()`` feed plain loops
+    and the buffer protocol feeds ``np.frombuffer`` views, so reading
+    needs no numpy. Every cut is bounds-checked; ``what`` names the
+    buffer in the :class:`~repro.errors.ProtocolError` texts."""
 
-    __slots__ = ("_buf", "_offset")
+    __slots__ = ("_view", "offset", "_what")
 
-    def __init__(self, buf: bytes, offset: int) -> None:
-        self._buf = buf
-        self._offset = offset
+    def __init__(self, buf, what: str = "frame", offset: int = 0) -> None:
+        self._view = memoryview(buf)
+        self.offset = offset
+        self._what = what
 
-    def take(self, typecode: str, count: int) -> array:
-        data = array(typecode)
-        nbytes = count * data.itemsize
-        end = self._offset + nbytes
-        chunk = self._buf[self._offset : end]
-        if len(chunk) != nbytes:
+    def advance(self, nbytes: int, detail: str) -> memoryview:
+        end = self.offset + nbytes
+        if end > len(self._view):
             raise ProtocolError(
-                f"place payload truncated: wanted {nbytes} bytes for "
-                f"{count} '{typecode}' entries, had {len(chunk)}"
+                f"{self._what} truncated: wanted {nbytes} bytes for "
+                f"{detail}, had {len(self._view) - self.offset}"
             )
-        data.frombytes(chunk)
+        chunk = self._view[self.offset : end]
+        self.offset = end
+        return chunk
+
+    def header(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.advance(layout.size, "a header"))
+
+    def take(self, typecode: str, count: int):
+        values = self.advance(
+            count * _ITEMSIZE[typecode], f"{count} '{typecode}' entries"
+        ).cast(typecode)
         if not _LITTLE_ENDIAN:  # pragma: no cover - no BE host in CI
-            data.byteswap()
-        self._offset = end
-        return data
+            values = array(typecode, values)
+            values.byteswap()
+        return values
 
     def done(self) -> None:
-        if self._offset != len(self._buf):
+        trailing = len(self._view) - self.offset
+        if trailing:
             raise ProtocolError(
-                f"place payload has {len(self._buf) - self._offset} "
-                "trailing bytes"
+                f"{self._what} has {trailing} trailing bytes"
             )
 
 
@@ -363,54 +406,17 @@ def op_of_kind(kind: int) -> str:
         raise ProtocolError(f"unknown frame kind 0x{kind:02x}")
 
 
-def encode_place_request(
-    request_id: int, txs: Sequence[Transaction], full_outputs: bool = False
-) -> bytes:
-    """A complete ``place`` frame for a contiguous batch."""
-    if not txs:
-        raise ProtocolError("txs must not be empty")
-    first = txs[0].txid
-    n_inputs = array("I")
-    n_outputs = array("I")
-    parents = array("Q")
-    indexes = array("I")
-    for tx in txs:
-        n_inputs.append(len(tx.inputs))
-        n_outputs.append(len(tx.outputs))
-        for outpoint in tx.inputs:
-            parents.append(outpoint.txid)
-            indexes.append(outpoint.index)
-    sections = [
-        _PLACE_HEADER.pack(first, len(txs), 1 if full_outputs else 0),
-        _packed("I", n_inputs),
-        _packed("I", n_outputs),
-    ]
-    if full_outputs:
-        try:
-            sections.append(
-                _packed(
-                    "q", (out.value for tx in txs for out in tx.outputs)
-                )
-            )
-            sections.append(
-                _packed(
-                    "q", (out.address for tx in txs for out in tx.outputs)
-                )
-            )
-        except OverflowError:
-            raise ProtocolError(
-                "output value/address exceeds the binary codec's i64 "
-                "range; use the JSON protocol for this stream"
-            )
-    sections.append(_packed("Q", parents))
-    sections.append(_packed("I", indexes))
-    payload = b"".join(sections)
-    if len(payload) > MAX_FRAME_BYTES:
+def _place_header(payload) -> tuple[int, int, int]:
+    """``(first_txid, n_txs, flags)`` of a ``place`` payload, checked."""
+    if len(payload) < PLACE_HEADER_BYTES:
         raise ProtocolError(
-            f"place payload of {len(payload)} bytes exceeds "
-            f"{MAX_FRAME_BYTES}; split the batch"
+            f"place payload of {len(payload)} bytes is shorter than "
+            f"its {PLACE_HEADER_BYTES}-byte header"
         )
-    return encode_frame(KIND_PLACE, request_id, payload)
+    first, n_txs, flags = _PLACE_HEADER.unpack_from(payload)
+    if n_txs == 0:
+        raise ProtocolError("txs must not be empty")
+    return first, n_txs, flags
 
 
 def peek_place_header(payload: bytes) -> tuple[int, int]:
@@ -420,14 +426,7 @@ def peek_place_header(payload: bytes) -> tuple[int, int]:
     sequences and forwards ``place`` requests by their txid range while
     the owning worker pays the actual decode.
     """
-    if len(payload) < PLACE_HEADER_BYTES:
-        raise ProtocolError(
-            f"place payload of {len(payload)} bytes is shorter than "
-            f"its {PLACE_HEADER_BYTES}-byte header"
-        )
-    first, n_txs, _flags = _PLACE_HEADER.unpack_from(payload)
-    if n_txs == 0:
-        raise ProtocolError("txs must not be empty")
+    first, n_txs, _flags = _place_header(payload)
     return first, n_txs
 
 
@@ -448,110 +447,20 @@ def zero_outputs(count: int) -> tuple[TxOutput, ...]:
     return cache[count]
 
 
-def decode_place_payload(payload: bytes) -> list[Transaction]:
-    """Rebuild the transaction batch of one ``place`` payload.
-
-    Txids are assigned densely from the header's ``first_txid``;
-    contiguity therefore holds by construction (the property
-    :func:`decode_batch` checks pairwise on the JSON path). This is the
-    server's per-transaction decode path, written for C-level bulk
-    operations: one ``map`` constructs every outpoint, inputs come out
-    as list slices, and count-only outputs are shared tuples - the
-    Python-level loop runs once per *transaction*, not per element.
-    """
-    if len(payload) < PLACE_HEADER_BYTES:
-        raise ProtocolError(
-            f"place payload of {len(payload)} bytes is shorter than "
-            f"its {PLACE_HEADER_BYTES}-byte header"
-        )
-    first, n_txs, flags = _PLACE_HEADER.unpack_from(payload)
-    if n_txs == 0:
-        raise ProtocolError("txs must not be empty")
-    if n_txs > MAX_FRAME_BYTES // 8:
-        raise ProtocolError(
-            f"place batch of {n_txs} transactions cannot fit a "
-            f"{MAX_FRAME_BYTES}-byte frame"
-        )
-    reader = _ArrayReader(payload, PLACE_HEADER_BYTES)
-    n_inputs = reader.take("I", n_txs)
-    n_outputs = reader.take("I", n_txs)
-    if n_outputs and max(n_outputs) > MAX_OUTPUTS_PER_TX:
-        raise ProtocolError(
-            f"n_outputs must be in [0, {MAX_OUTPUTS_PER_TX}], "
-            f"got {max(n_outputs)}"
-        )
-    total_outputs = sum(n_outputs)
-    full_outputs = bool(flags & 1)
-    if full_outputs:
-        values = reader.take("q", total_outputs)
-        addresses = reader.take("q", total_outputs)
-    total_inputs = sum(n_inputs)
-    parents = reader.take("Q", total_inputs)
-    indexes = reader.take("I", total_inputs)
-    reader.done()
-
-    txs: list[Transaction] = []
-    append = txs.append
-    in_cursor = 0
-    out_cursor = 0
-    txid = first
-    try:
-        # All outpoints in one C-level pass (u64/u32 entries are never
-        # negative, so OutPoint's own validation cannot fire).
-        outpoints = list(map(OutPoint, parents, indexes))
-        if full_outputs:
-            for count_in, count_out in zip(n_inputs, n_outputs):
-                in_end = in_cursor + count_in
-                out_end = out_cursor + count_out
-                append(
-                    Transaction(
-                        txid,
-                        tuple(outpoints[in_cursor:in_end]),
-                        tuple(
-                            map(
-                                TxOutput,
-                                values[out_cursor:out_end],
-                                addresses[out_cursor:out_end],
-                            )
-                        ),
-                    )
-                )
-                in_cursor = in_end
-                out_cursor = out_end
-                txid += 1
-        else:
-            shared = _ZERO_OUTPUT_TUPLES
-            for count_in, count_out in zip(n_inputs, n_outputs):
-                in_end = in_cursor + count_in
-                append(
-                    Transaction(
-                        txid,
-                        tuple(outpoints[in_cursor:in_end]),
-                        shared[count_out]
-                        if count_out < len(shared)
-                        else zero_outputs(count_out),
-                    )
-                )
-                in_cursor = in_end
-                txid += 1
-    except ValidationError as exc:
-        # Corrupt content bytes (e.g. a negative i64 value) surface as
-        # model validation errors; to the wire they are malformed input.
-        raise ProtocolError(f"malformed transaction in payload: {exc}")
-    return txs
-
-
 class WireBatch:
-    """Zero-copy typed-array view of one (or several coalesced)
-    ``place`` payloads.
+    """One ``place`` batch as typed columns - the only form a batch
+    takes inside the service, from the socket to the kernel.
 
-    The kernel serving path: ``parents``/``indexes`` are numpy views
-    straight over the payload bytes with the wire's unsigned integers
-    reinterpreted as signed (the validation kernel ranges-checks them,
-    reporting out-of-range values exactly as the object path would).
-    ``payloads`` keeps the raw payload bytes for the WAL journal and
-    for materializing :class:`Transaction` objects when a fallback
-    needs them.
+    Columns are little-endian ``memoryview`` casts over the payload
+    bytes, or ``array`` joins of several coalesced batches: per
+    transaction ``n_inputs`` / ``n_outputs`` (u32), per input
+    ``parents`` (u64) / ``indexes`` (u32), per output ``values`` /
+    ``addresses`` (i64) when the batch carries output content (``None``
+    otherwise: every output is a zero-value output). Txids are dense
+    from ``first_txid``. ``payloads`` are the raw payloads the batch
+    was decoded from, which the write-ahead journal records verbatim.
+    Nothing here needs numpy: the kernel views the columns with
+    ``np.frombuffer``, everything else iterates them.
     """
 
     __slots__ = (
@@ -559,9 +468,10 @@ class WireBatch:
         "n_txs",
         "n_inputs",
         "n_outputs",
+        "values",
+        "addresses",
         "parents",
         "indexes",
-        "in_off",
         "payloads",
     )
 
@@ -571,120 +481,287 @@ class WireBatch:
         n_txs: int,
         n_inputs,
         n_outputs,
+        values,
+        addresses,
         parents,
         indexes,
-        in_off,
         payloads: "tuple[bytes, ...]",
     ) -> None:
         self.first_txid = first_txid
         self.n_txs = n_txs
         self.n_inputs = n_inputs
         self.n_outputs = n_outputs
+        self.values = values
+        self.addresses = addresses
         self.parents = parents
         self.indexes = indexes
-        self.in_off = in_off
         self.payloads = payloads
 
     def __len__(self) -> int:
         return self.n_txs
 
+    def transactions(self) -> list[Transaction]:
+        """The batch as :class:`Transaction` objects, for the consumers
+        that read objects (the python placers, a drift monitor's shadow,
+        the python spend journal behind a kernel ``FALLBACK``).
 
-def decode_place_arrays(payload: bytes) -> "WireBatch | None":
-    """Typed-array decode of one ``place`` payload (the kernel path).
+        Written for C-level bulk operations: one ``map`` constructs
+        every outpoint (the u64/u32 columns are never negative, so
+        OutPoint's own validation cannot fire), inputs come out as list
+        slices, and count-only outputs are shared tuples - the
+        python-level loop runs once per *transaction*, not per element.
+        """
+        txs: list[Transaction] = []
+        append = txs.append
+        outpoints = list(map(OutPoint, self.parents, self.indexes))
+        in_cursor = 0
+        txid = self.first_txid
+        if self.values is not None:
+            outputs = list(map(TxOutput, self.values, self.addresses))
+            out_cursor = 0
+            for count_in, count_out in zip(self.n_inputs, self.n_outputs):
+                in_end = in_cursor + count_in
+                out_end = out_cursor + count_out
+                append(
+                    Transaction(
+                        txid,
+                        tuple(outpoints[in_cursor:in_end]),
+                        tuple(outputs[out_cursor:out_end]),
+                    )
+                )
+                in_cursor = in_end
+                out_cursor = out_end
+                txid += 1
+            return txs
+        zero_outputs(max(self.n_outputs))  # grow the shared cache once
+        shared = _ZERO_OUTPUT_TUPLES
+        for count_in, count_out in zip(self.n_inputs, self.n_outputs):
+            in_end = in_cursor + count_in
+            append(
+                Transaction(
+                    txid, tuple(outpoints[in_cursor:in_end]), shared[count_out]
+                )
+            )
+            in_cursor = in_end
+            txid += 1
+        return txs
 
-    Returns ``None`` when the payload needs the object decoder (the
-    full-outputs flag - content-hashing strategies never run the
-    kernel). Malformed payloads raise :class:`ProtocolError` with the
-    exact messages of :func:`decode_place_payload`, checked in the same
-    order, so both decode paths produce byte-identical error replies.
-    Requires numpy (callers gate on the kernel being active).
-    """
-    import numpy as np
-
-    if len(payload) < PLACE_HEADER_BYTES:
-        raise ProtocolError(
-            f"place payload of {len(payload)} bytes is shorter than "
-            f"its {PLACE_HEADER_BYTES}-byte header"
+    def payload(self, start: int = 0, stop: "int | None" = None) -> bytes:
+        """The ``place`` payload of transactions ``[start, stop)``:
+        column slices, output content included. A whole one-payload
+        batch is its payload, unre-encoded."""
+        if stop is None:
+            stop = self.n_txs
+        if start == 0 and stop == self.n_txs and len(self.payloads) == 1:
+            return self.payloads[0]
+        in_start = sum(self.n_inputs[:start])
+        in_stop = in_start + sum(self.n_inputs[start:stop])
+        values = addresses = None
+        if self.values is not None:
+            out_start = sum(self.n_outputs[:start])
+            out_stop = out_start + sum(self.n_outputs[start:stop])
+            values = self.values[out_start:out_stop]
+            addresses = self.addresses[out_start:out_stop]
+        return _payload_of(
+            self.first_txid + start,
+            stop - start,
+            (
+                self.n_inputs[start:stop],
+                self.n_outputs[start:stop],
+                values,
+                addresses,
+                self.parents[in_start:in_stop],
+                self.indexes[in_start:in_stop],
+            ),
         )
-    first, n_txs, flags = _PLACE_HEADER.unpack_from(payload)
-    if n_txs == 0:
+
+
+def _payload_of(first: int, n_txs: int, columns) -> bytes:
+    """Header + columns (in :class:`WireBatch` order; ``values`` None
+    means count-only)."""
+    full = columns[2] is not None
+    return b"".join(
+        [
+            _PLACE_HEADER.pack(first, n_txs, 1 if full else 0),
+            *(column_bytes(part) for part in columns if part is not None),
+        ]
+    )
+
+
+def _columns_of(txs: Sequence[Transaction], full_outputs: bool) -> tuple:
+    """The :class:`WireBatch` columns of an object batch."""
+    if not txs:
         raise ProtocolError("txs must not be empty")
+    inputs = [tx.inputs for tx in txs]
+    outputs = [tx.outputs for tx in txs]
+    values = addresses = None
+    if full_outputs:
+        try:
+            values = array("q", [out.value for outs in outputs for out in outs])
+            addresses = array(
+                "q", [out.address for outs in outputs for out in outs]
+            )
+        except OverflowError:
+            raise ProtocolError(
+                "output value/address exceeds the binary codec's i64 "
+                "range; use the JSON protocol for this stream"
+            )
+    outpoints = [outpoint for ins in inputs for outpoint in ins]
+    try:
+        parents = array("Q", [outpoint.txid for outpoint in outpoints])
+        indexes = array("I", [outpoint.index for outpoint in outpoints])
+    except OverflowError:
+        raise ProtocolError(
+            "an input exceeds the binary codec's range (parent txid "
+            "u64, output index u32)"
+        )
+    return (
+        array("I", map(len, inputs)),
+        array("I", map(len, outputs)),
+        values,
+        addresses,
+        parents,
+        indexes,
+    )
+
+
+def encode_place_request(
+    request_id: int, txs: Sequence[Transaction], full_outputs: bool = False
+) -> bytes:
+    """A complete ``place`` frame for a contiguous batch."""
+    columns = _columns_of(txs, full_outputs)
+    payload = _payload_of(txs[0].txid, len(txs), columns)
+    if len(payload) > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"place payload of {len(payload)} bytes exceeds "
+            f"{MAX_FRAME_BYTES}; split the batch"
+        )
+    return encode_frame(KIND_PLACE, request_id, payload)
+
+
+def as_wire_batch(
+    txs: "Sequence[Transaction] | WireBatch",
+    full_outputs: "bool | None" = None,
+) -> WireBatch:
+    """The one edge where ``Transaction`` objects become a
+    :class:`WireBatch` - NDJSON requests, the
+    :class:`~repro.service.partition.EnginePartition` API and the
+    engine's kernel marshal; a :class:`WireBatch` passes through.
+
+    ``full_outputs=None`` carries output content exactly when some
+    output has any, so the batch materializes back into equal
+    transactions (a count-only batch is the payload a count-only client
+    sends). Raises :class:`ProtocolError` for an empty or non-contiguous
+    batch and for ids or content beyond the binary columns.
+    """
+    if isinstance(txs, WireBatch):
+        return txs
+    if not txs:
+        raise ProtocolError("txs must not be empty")
+    _check_contiguous([tx.txid for tx in txs])
+    if full_outputs is None:
+        full_outputs = any(
+            out.value or out.address for tx in txs for out in tx.outputs
+        )
+    first = txs[0].txid
+    if first >= 1 << 64:
+        raise ProtocolError(f"txid {first} exceeds the binary codec's u64")
+    columns = _columns_of(txs, full_outputs)
+    payload = _payload_of(first, len(txs), columns)
+    return WireBatch(first, len(txs), *columns, (payload,))
+
+
+def decode_place_arrays(payload: bytes) -> WireBatch:
+    """The typed columns of one ``place`` payload - the one PLACE
+    parser, numpy-free and zero-copy.
+
+    Header, bounds, the output-count ceiling and the content check on
+    full-output values all run here, in one order, so every consumer
+    (the kernel, :meth:`WireBatch.transactions`,
+    :func:`decode_place_payload`, the coordinator's lease splitter)
+    answers the same bytes with the same
+    :class:`~repro.errors.ProtocolError` text.
+    """
+    first, n_txs, flags = _place_header(payload)
     if n_txs > MAX_FRAME_BYTES // 8:
         raise ProtocolError(
             f"place batch of {n_txs} transactions cannot fit a "
             f"{MAX_FRAME_BYTES}-byte frame"
         )
+    reader = ColumnReader(payload, "place payload", PLACE_HEADER_BYTES)
+    n_inputs = reader.take("I", n_txs)
+    n_outputs = reader.take("I", n_txs)
+    most = max(n_outputs)
+    if most > MAX_OUTPUTS_PER_TX:
+        raise ProtocolError(
+            f"n_outputs must be in [0, {MAX_OUTPUTS_PER_TX}], got {most}"
+        )
+    values = addresses = None
     if flags & 1:
-        return None
-
-    offset = PLACE_HEADER_BYTES
-
-    def take(dtype: str, itemsize: int, typecode: str, count: int):
-        nonlocal offset
-        nbytes = count * itemsize
-        end = offset + nbytes
-        if end > len(payload):
-            raise ProtocolError(
-                f"place payload truncated: wanted {nbytes} bytes for "
-                f"{count} '{typecode}' entries, had {len(payload) - offset}"
-            )
-        section = np.frombuffer(payload, dtype=dtype, count=count,
-                                offset=offset)
-        offset = end
-        return section
-
-    n_inputs_u = take("<u4", 4, "I", n_txs)
-    n_outputs_u = take("<u4", 4, "I", n_txs)
-    max_out = int(n_outputs_u.max()) if n_txs else 0
-    if max_out > MAX_OUTPUTS_PER_TX:
-        raise ProtocolError(
-            f"n_outputs must be in [0, {MAX_OUTPUTS_PER_TX}], "
-            f"got {max_out}"
-        )
-    total_inputs = int(n_inputs_u.sum(dtype=np.int64))
-    parents = take("<u8", 8, "Q", total_inputs).view(np.int64)
-    indexes = take("<u4", 4, "I", total_inputs).view(np.int32)
-    if offset != len(payload):
-        raise ProtocolError(
-            f"place payload has {len(payload) - offset} trailing bytes"
-        )
-    in_off = np.zeros(n_txs + 1, dtype=np.int64)
-    np.cumsum(n_inputs_u, out=in_off[1:])
+        total_outputs = sum(n_outputs)
+        values = reader.take("q", total_outputs)
+        addresses = reader.take("q", total_outputs)
+    total_inputs = sum(n_inputs)
+    parents = reader.take("Q", total_inputs)
+    indexes = reader.take("I", total_inputs)
+    reader.done()
+    if values and min(values) < 0:
+        # Content bytes the model refuses (a negative value) are
+        # malformed input to the wire, reported as TxOutput words it.
+        try:
+            TxOutput(next(value for value in values if value < 0))
+        except ValidationError as exc:
+            raise ProtocolError(f"malformed transaction in payload: {exc}")
     return WireBatch(
         first,
         n_txs,
-        n_inputs_u.view(np.int32),
-        n_outputs_u.view(np.int32),
+        n_inputs,
+        n_outputs,
+        values,
+        addresses,
         parents,
         indexes,
-        in_off,
         (payload,),
     )
 
 
-def concat_wire_batches(batches: "Sequence[WireBatch]") -> WireBatch:
-    """Merge txid-contiguous wire batches (the worker's coalescer
-    guarantees adjacency) into one, concatenating the array sections."""
-    import numpy as np
+def decode_place_payload(payload: bytes) -> list[Transaction]:
+    """The transactions of one ``place`` payload: the columns of
+    :func:`decode_place_arrays`, materialized. Txids are assigned
+    densely from the header's ``first_txid``, so contiguity - which
+    :func:`decode_batch` checks pairwise on the JSON path - holds by
+    construction."""
+    return decode_place_arrays(payload).transactions()
 
+
+def concat_wire_batches(batches: "Sequence[WireBatch]") -> WireBatch:
+    """Merge txid-contiguous batches (the sequencer coalesces only
+    adjacent runs) into one, joining each column with
+    ``array.frombytes``. A count-only member joined with full-output
+    members contributes zero-value output content."""
     if len(batches) == 1:
         return batches[0]
-    n_txs = sum(b.n_txs for b in batches)
-    n_inputs = np.concatenate([b.n_inputs for b in batches])
-    n_outputs = np.concatenate([b.n_outputs for b in batches])
-    parents = np.concatenate([b.parents for b in batches])
-    indexes = np.concatenate([b.indexes for b in batches])
-    in_off = np.zeros(n_txs + 1, dtype=np.int64)
-    np.cumsum(n_inputs, out=in_off[1:])
+
+    def joined(typecode: str, name: str) -> array:
+        out = array(typecode)
+        for batch in batches:
+            part = getattr(batch, name)
+            if part is None:  # count-only member of a full-output run
+                part = bytes(8 * sum(batch.n_outputs))
+            out.frombytes(memoryview(part).cast("B"))
+        return out
+
+    full = any(batch.values is not None for batch in batches)
     return WireBatch(
         batches[0].first_txid,
-        n_txs,
-        n_inputs,
-        n_outputs,
-        parents,
-        indexes,
-        in_off,
-        tuple(p for b in batches for p in b.payloads),
+        sum(batch.n_txs for batch in batches),
+        joined("I", "n_inputs"),
+        joined("I", "n_outputs"),
+        joined("q", "values") if full else None,
+        joined("q", "addresses") if full else None,
+        joined("Q", "parents"),
+        joined("I", "indexes"),
+        tuple(p for batch in batches for p in batch.payloads),
     )
 
 
@@ -707,7 +784,7 @@ def encode_control_request(
 def encode_shards_response(request_id: int, shards: Sequence[int]) -> bytes:
     """The hot response: one packed i32 array of shard assignments."""
     return encode_frame(
-        RESPONSE_FLAG | STATUS_SHARDS, request_id, _packed("i", shards)
+        RESPONSE_FLAG | STATUS_SHARDS, request_id, column_bytes(array("i", shards))
     )
 
 

@@ -53,22 +53,15 @@ from repro.service.partition import (
     txids_from_bytes,
     txids_to_bytes,
 )
-from repro.service.sequencer import (
-    RunFailed,
-    Sequencer,
-    decode_place,
-    failure,
-    first_txid,
-    wire_path_active,
-)
+from repro.service.sequencer import RunFailed, Sequencer, failure
 from repro.service.wire import (
     WireBatch,
+    decode_place_arrays,
     decode_response,
     encode_error_response,
     encode_frame,
     encode_response_for,
 )
-from repro.utxo.transaction import Transaction
 
 
 def build_partition(partition_id: int, spec: dict[str, Any]) -> EnginePartition:
@@ -118,11 +111,6 @@ class PlacementWorker:
         checkpoint_compress: bool = False,
     ) -> None:
         self._partition = partition
-        # Decided once at startup (workers attach their drift monitor
-        # before serving): with the kernel validator active and no
-        # drift monitor, ``place`` frames stay numpy array views end to
-        # end (wire -> kernel).
-        self._wire_arrays = wire_path_active(partition.engine)
         self._checkpoint_path = checkpoint_path
         self._checkpoint_compress = checkpoint_compress
         self.channel: "FrameChannel | None" = None
@@ -261,10 +249,10 @@ class PlacementWorker:
         if self._stopping or self._draining:
             return failure("shutdown", "worker is shutting down")
         try:
-            txs = decode_place(payload, self._wire_arrays)
+            batch = decode_place_arrays(payload)
         except ProtocolError as exc:
             return failure("protocol", str(exc))
-        first = first_txid(txs)
+        first = batch.first_txid
         partition = self._partition
         if not partition.owns_txid(first):
             return failure(
@@ -272,7 +260,7 @@ class PlacementWorker:
                 f"partition {partition.partition_id} does not own txid "
                 f"{first} (coordinator routing bug)",
             )
-        return await self._sequencer.submit(txs, payload)
+        return await self._sequencer.submit(batch)
 
     async def _handle_grant(self, payload: bytes) -> dict:
         body = ch.parse_json_payload(payload)
@@ -382,11 +370,7 @@ class PlacementWorker:
         except ChannelClosed:
             raise RunFailed("engine", "coordinator link lost")
 
-    async def _place_with_remotes(
-        self,
-        batch: "list[Transaction] | WireBatch",
-        segments: "list[bytes] | None" = None,
-    ) -> list[int]:
+    async def _place_with_remotes(self, batch: WireBatch) -> list[int]:
         """One batch through acquire -> place -> writeback (the
         sequencer times it round-trips included: the latency a client's
         batch actually observes at this partition)."""
@@ -416,9 +400,7 @@ class PlacementWorker:
             metrics.acquire_round_trips += 1
             metrics.remote_parent_refs += len(needed)
             metrics.parent_state_bytes += len(payload)
-        shards, writebacks = partition.place_batch(
-            batch, states, raw_segments=segments
-        )
+        shards, writebacks = partition.place_batch(batch, states)
         if self.faults is not None:
             self.faults.maybe_kill("place")
         if writebacks:

@@ -254,6 +254,43 @@ class TestFootprint:
         assert "repro" in modules
         assert "numpy" not in modules
 
+    def test_wire_batches_never_import_numpy(self):
+        # Decode, coalesce and place PLACE payloads the way a python
+        # worker does - through the engine and through a 2-partition
+        # EnginePartition (lease hand-off, remote parents, writebacks).
+        modules = _modules_after(
+            "import repro.api as api\n"
+            "from repro.service.partition import EnginePartition\n"
+            "from repro.service.wire import (FRAME_HEADER_BYTES,\n"
+            "    concat_wire_batches, decode_place_arrays,\n"
+            "    encode_place_request)\n"
+            "stream = api.synthetic_stream(1200, seed=3)\n"
+            "def payload(lo, hi, full=False):\n"
+            "    frame = encode_place_request(0, stream[lo:hi], full)\n"
+            "    return frame[FRAME_HEADER_BYTES:]\n"
+            "def engine():\n"
+            "    return api.PlacementEngine(\n"
+            "        api.make_placer('optchain:backend=python', 4))\n"
+            "batch = concat_wire_batches([decode_place_arrays(payload(0, 300)),\n"
+            "    decode_place_arrays(payload(300, 600, True))])\n"
+            "expected = engine().place_batch(stream)\n"
+            "assert engine().place_wire_batch(batch) == expected[:600]\n"
+            "parts = [EnginePartition(engine(), p, 2, 300) for p in (0, 1)]\n"
+            "shards = []\n"
+            "for lo in range(0, 1200, 300):\n"
+            "    owner, other = parts[lo // 300 % 2], parts[1 - lo // 300 % 2]\n"
+            "    if lo:\n"
+            "        owner.import_hot_state(other.export_hot_state())\n"
+            "    wire = decode_place_arrays(payload(lo, lo + 300))\n"
+            "    states = other.read_parents(owner.parents_needed(wire))\n"
+            "    placed, writebacks = owner.place_batch(wire, states)\n"
+            "    other.apply_writebacks(writebacks)\n"
+            "    shards += placed\n"
+            "assert shards == expected, 'partitioned placements differ'\n"
+        )
+        assert "repro" in modules
+        assert "numpy" not in modules
+
     def test_resolving_auto_never_imports_numpy(self):
         # What the sharded coordinator does: pick the backend its
         # workers will run, without mapping numpy itself.

@@ -35,6 +35,7 @@ from repro.service.wire import (  # noqa: E402
     FRAME_HEADER_BYTES,
     concat_wire_batches,
     decode_place_arrays,
+    decode_response,
     encode_place_request,
 )
 from repro.utxo.transaction import (  # noqa: E402
@@ -363,52 +364,109 @@ class TestWireBatchPlumbing:
         merged = concat_wire_batches(parts)
         assert merged.first_txid == whole.first_txid
         assert merged.n_txs == whole.n_txs
-        for field in ("parents", "indexes", "in_off", "n_inputs", "n_outputs"):
-            assert np.array_equal(
-                getattr(merged, field), getattr(whole, field)
+        for field in ("parents", "indexes", "n_inputs", "n_outputs"):
+            assert list(getattr(merged, field)) == list(
+                getattr(whole, field)
             ), field
+        assert merged.values is None and merged.addresses is None
         assert len(merged.payloads) == 3
+        # The kernel's view (in_off is built there, once per batch)
+        # agrees whichever way the columns were assembled.
+        from repro.core.backends.numpy_backend import _ValidationDriver
+
+        for got, want in zip(
+            _ValidationDriver.columns(merged), _ValidationDriver.columns(whole)
+        ):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
     def test_python_worker_serves_objects(self):
-        """No kernel means no numpy engine to degrade: a python-backend
-        worker decodes objects and has nothing to warn about."""
-        from repro.service.partition import EnginePartition
-        from repro.service.worker import PlacementWorker
-
-        engine = PlacementEngine(
-            make_placer("optchain", N_SHARDS, backend="python")
-        )
+        """A python-backend worker places the same wire batches the
+        kernel serves (materialized inside the engine, nothing to warn
+        about) and replies as the python engine places the objects."""
+        stream = _worker_stream()
+        engine = PlacementEngine(make_placer("optchain", N_SHARDS))
         assert not engine.kernel_validation
-        partition = EnginePartition(
-            engine, partition_id=0, n_partitions=1, lease_length=600
-        )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            worker = PlacementWorker(partition)
-        assert worker._wire_arrays is False
+            replies = _worker_replies("python", _worker_payloads(stream))
         assert not [e for e in caught if e.category is RuntimeWarning]
-        assert len(engine.place_batch([_tx(0, []), _tx(1, [(0, 0)])])) == 2
+        placed = [
+            engine.place_batch(stream[start : start + 60])
+            for start in range(0, 300, 60)
+        ]
+        assert [decode_response(*reply)["shards"] for reply in replies[:5]] == (
+            placed
+        )
+        assert decode_response(*replies[5])["code"] == "engine"
+        assert decode_response(*replies[6])["code"] == "protocol"
 
     @requires_kernel
     def test_kernel_worker_does_not_warn(self):
-        from repro.service.partition import EnginePartition
-        from repro.service.worker import PlacementWorker
-
-        engine = PlacementEngine(
-            make_placer("optchain", N_SHARDS, backend="numpy")
-        )
-        partition = EnginePartition(
-            engine, partition_id=0, n_partitions=1, lease_length=600
-        )
+        """Python and kernel workers answer the same W_PLACE payloads -
+        count-only, full-output, invalid and malformed - with the same
+        reply bytes."""
+        payloads = _worker_payloads(_worker_stream())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            worker = PlacementWorker(partition)
-        assert worker._wire_arrays is True
+            served = _worker_replies("numpy", payloads)
         assert not [
             entry
             for entry in caught
             if entry.category is RuntimeWarning
         ]
+        assert served == _worker_replies("python", payloads)
+
+
+def _worker_stream():
+    from repro.datasets.synthetic import synthetic_stream
+
+    return synthetic_stream(330, seed=17)
+
+
+def _worker_payloads(stream) -> list[bytes]:
+    """Five valid frames (every other one with full outputs), a
+    respend of an output those frames spent, a truncated frame."""
+    frames = [
+        encode_place_request(0, stream[start : start + 60], start % 120 == 60)
+        for start in range(0, 300, 60)
+    ]
+    spent = next(tx for tx in stream[:300] if tx.inputs).inputs[0]
+    respend = Transaction(
+        txid=300, inputs=(spent,), outputs=(TxOutput(1),)
+    )
+    frames.append(encode_place_request(0, [respend]))
+    frames.append(encode_place_request(0, stream[300:330])[:-3])
+    return [frame[FRAME_HEADER_BYTES:] for frame in frames]
+
+
+def _worker_replies(backend: str, payloads: list[bytes]) -> list:
+    """``(kind, payload)`` of one in-process worker's W_PLACE replies."""
+    from repro.service import channel as ch
+    from repro.service.partition import EnginePartition
+    from repro.service.wire import decode_frame_header
+    from repro.service.worker import PlacementWorker
+
+    async def scenario():
+        engine = PlacementEngine(
+            make_placer("optchain", N_SHARDS, backend=backend)
+        )
+        worker = PlacementWorker(
+            EnginePartition(
+                engine, partition_id=0, n_partitions=1, lease_length=600
+            )
+        )
+        worker.start()
+        replies = []
+        for request_id, payload in enumerate(payloads):
+            frame = await worker.handle(ch.W_PLACE, request_id, payload)
+            kind, _, _ = decode_frame_header(frame[:FRAME_HEADER_BYTES])
+            replies.append((kind, frame[FRAME_HEADER_BYTES:]))
+        worker.stop()
+        await worker.join()
+        return replies
+
+    return asyncio.run(scenario())
 
 
 class TestShardedWireLane:

@@ -267,14 +267,15 @@ class TestPendingRelease:
         exactly when nothing pending *before* the batch names a parent
         it installs - pinned at every call, with the list left holding
         no installed txid afterwards."""
-        place_validated = PlacementEngine._place_validated
+        commit = PlacementEngine._commit
         calls = {"installs": 0, "filtered": 0}
 
-        def checked(engine, batch, marshalled, exclude):
+        def checked(engine, mark, exclude, place, batch=None):
+            # ``mark``: where this batch's releases start in the list.
             if exclude:
                 calls["installs"] += 1
-                assert exclude.isdisjoint(engine._pending_release)
-            shards = place_validated(engine, batch, marshalled, exclude)
+                assert exclude.isdisjoint(engine._pending_release[:mark])
+            shards = commit(engine, mark, exclude, place, batch)
             if exclude:
                 assert exclude.isdisjoint(engine._pending_release)
             return shards
@@ -288,7 +289,7 @@ class TestPendingRelease:
             calls["filtered"] += writebacks.masks().count(0)
             return shards, writebacks
 
-        monkeypatch.setattr(PlacementEngine, "_place_validated", checked)
+        monkeypatch.setattr(PlacementEngine, "_commit", checked)
         monkeypatch.setattr(EnginePartition, "place_batch", counted)
         _, expected = reference_placements(stream, strategy)
         harness = Harness(n_partitions, strategy=strategy)

@@ -3,7 +3,8 @@
 Driven against a fake engine (a cursor, an assignment record and a
 ``place`` coroutine that logs its calls), so every rule is observable
 without sockets: admission, reorder, coalescing bounds, stale entries,
-atomic-reject replay, reply splitting.
+atomic-reject replay, reply splitting - and the one batch form every
+request takes, :class:`~repro.service.wire.WireBatch`.
 """
 
 from __future__ import annotations
@@ -14,21 +15,26 @@ import pytest
 
 from repro.errors import EngineError
 from repro.obs.metrics import ServiceMetrics
-from repro.service.sequencer import (
-    RunFailed,
-    Sequencer,
-    decode_place,
-    merge_members,
+from repro.service.sequencer import RunFailed, Sequencer
+from repro.service.wire import (
+    FRAME_HEADER_BYTES,
+    WireBatch,
+    as_wire_batch,
+    concat_wire_batches,
+    decode_place_arrays,
+    decode_place_payload,
+    encode_place_request,
 )
-from repro.service.wire import FRAME_HEADER_BYTES, encode_place_request
 from repro.utxo.transaction import OutPoint, Transaction, TxOutput
 
 
-def _txs(first: int, count: int) -> list[Transaction]:
-    return [
-        Transaction(txid=txid, inputs=(), outputs=(TxOutput(1),))
-        for txid in range(first, first + count)
-    ]
+def _txs(first: int, count: int) -> WireBatch:
+    return as_wire_batch(
+        [
+            Transaction(txid=txid, inputs=(), outputs=(TxOutput(1),))
+            for txid in range(first, first + count)
+        ]
+    )
 
 
 class FakeEngine:
@@ -47,8 +53,8 @@ class FakeEngine:
     def assignment_slice(self, first: int, count: int) -> list[int]:
         return self.assignment[first : first + count]
 
-    async def place(self, batch, payloads) -> list[int]:
-        txids = [tx.txid for tx in batch]
+    async def place(self, batch) -> list[int]:
+        txids = list(range(batch.first_txid, batch.first_txid + len(batch)))
         self.calls.append(txids)
         if self.raises is not None:
             raise self.raises
@@ -298,33 +304,77 @@ class TestDecodeAndMerge:
         return txs, frame[FRAME_HEADER_BYTES:]
 
     def test_object_decode_without_the_wire_path(self):
-        txs, payload = self._payload(0, 5)
-        decoded = decode_place(payload, False)
-        assert [(tx.txid, tx.inputs) for tx in decoded] == [
-            (tx.txid, tx.inputs) for tx in txs
-        ]
+        """Objects (an NDJSON request, the partition API) become a
+        WireBatch at the edge; a WireBatch passes through."""
+        txs, payload = self._payload(0, 5, full_outputs=True)
+        batch = as_wire_batch(txs)
+        assert as_wire_batch(batch) is batch
+        assert (batch.first_txid, len(batch)) == (0, 5)
+        # Outputs with content travel in full; the objects come back.
+        assert batch.payloads == (payload,)
+        assert batch.transactions() == txs
+        _, count_only = self._payload(0, 5)
+        assert as_wire_batch(txs, full_outputs=False).payloads == (
+            count_only,
+        )
 
     def test_array_decode_and_mixed_merge(self):
-        pytest.importorskip("numpy")
-        from repro.service.wire import WireBatch
-
-        txs_a, payload_a = self._payload(0, 5)
+        _, payload_a = self._payload(0, 5)
         txs_b, payload_b = self._payload(5, 4, full_outputs=True)
-        txs_c, payload_c = self._payload(9, 3)
-        wire_a = decode_place(payload_a, True)
-        wire_c = decode_place(payload_c, True)
+        _, payload_c = self._payload(9, 3)
+        wire_a = decode_place_arrays(payload_a)
+        wire_b = decode_place_arrays(payload_b)
+        wire_c = decode_place_arrays(payload_c)
         assert isinstance(wire_a, WireBatch) and len(wire_a) == 5
-        # Full outputs are not an array encoding: objects either way.
-        objects_b = decode_place(payload_b, True)
-        assert objects_b == txs_b
-        assert merge_members([wire_a]) is wire_a
-        merged = merge_members([wire_a, wire_c])
-        assert isinstance(merged, WireBatch)
+        assert wire_a.values is None and wire_b.values is not None
+        assert concat_wire_batches([wire_a]) is wire_a
+        merged = concat_wire_batches([wire_a, wire_c])
         assert (merged.first_txid, len(merged)) == (0, 8)
         assert merged.payloads == (payload_a, payload_c)
-        # One object member makes the whole run an object batch.
-        mixed = merge_members([wire_a, objects_b, wire_c])
-        assert [tx.txid for tx in mixed] == list(range(12))
-        assert [tx.inputs for tx in mixed] == [
-            tx.inputs for tx in txs_a + txs_b + txs_c
+        assert merged.values is None
+        # A full-output member makes the run carry content; count-only
+        # members contribute zero-value outputs.
+        mixed = concat_wire_batches([wire_a, wire_b, wire_c])
+        assert mixed.payloads == (payload_a, payload_b, payload_c)
+        expected = (
+            decode_place_payload(payload_a)
+            + decode_place_payload(payload_b)
+            + decode_place_payload(payload_c)
+        )
+        assert mixed.transactions() == expected
+        assert [tx.outputs for tx in expected[5:9]] == [
+            tx.outputs for tx in txs_b
         ]
+        assert decode_place_payload(mixed.payload()) == expected
+
+    def test_merged_runs_place_alike_on_every_backend(self):
+        """Joined columns (``array`` buffers) and single-payload views
+        (unaligned ``memoryview`` casts) reach the engine the same way:
+        a python and a kernel engine place every merged run alike."""
+        from repro.core.backends import backend_available
+        from repro.core.placement import make_placer
+        from repro.datasets.synthetic import synthetic_stream
+        from repro.service.engine import PlacementEngine
+
+        if not backend_available("numpy"):
+            pytest.skip("compiled kernel unavailable")
+        stream = synthetic_stream(900, seed=5)
+        members = [
+            decode_place_arrays(
+                encode_place_request(
+                    0, stream[start : start + 50], start % 150 == 50
+                )[FRAME_HEADER_BYTES:]
+            )
+            for start in range(0, 900, 50)
+        ]
+        engines = [
+            PlacementEngine(make_placer("optchain", 8, backend=backend))
+            for backend in ("python", "numpy")
+        ]
+        start = 0
+        for size in (1, 2, 3) * 3:
+            run = concat_wire_batches(members[start : start + size])
+            python, kernel = (e.place_wire_batch(run) for e in engines)
+            assert python == kernel
+            start += size
+        assert engines[1].n_placed == 900

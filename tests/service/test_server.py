@@ -212,13 +212,13 @@ class TestDispatcherResilience:
             client = await AsyncPlacementClient.connect(
                 port=server.port
             )
-            original = server.engine.place_batch
+            original = server.engine.place_wire_batch
 
             def explode(batch):
-                server.engine.place_batch = original
+                server.engine.place_wire_batch = original
                 raise RuntimeError("injected placer bug")
 
-            server.engine.place_batch = explode
+            server.engine.place_wire_batch = explode
             with pytest.raises(EngineError, match="internal error"):
                 await client.place(stream[:50])
             # The dispatcher survived: the next request is served.

@@ -1,9 +1,10 @@
 """The single-process server's zero-copy wire path vs the python golden.
 
-``PlacementServer`` decodes binary ``place`` frames to ``WireBatch``
-views whenever its engine validates in the compiled kernel, and to
-``Transaction`` objects otherwise - per frame, so NDJSON requests,
-full-output frames and array frames meet in one reorder buffer. Every
+``PlacementServer`` turns every ``place`` request into a ``WireBatch``
+- binary frames decode to column views, NDJSON requests encode at the
+edge - so NDJSON requests, full-output frames and array frames meet in
+one reorder buffer and enter the engine through ``place_wire_batch``
+whatever its backend. Every
 test here runs one scripted conversation against two live servers - the
 pure-python golden and a numpy-backend server - and requires the same
 reply bytes for every request, the same ``stats`` and the same
@@ -117,7 +118,7 @@ def _corrupt(rng: random.Random, frame, spent):
 
 @st.composite
 def conversations(draw):
-    """``(stream, phases, attach_at, all_array)``; a phase is
+    """``(stream, phases, attach_at)``; a phase is
     ``(advances, [(codec, txs), ...])`` with the requests in txid
     order, ``attach_at`` the phase before which a drift monitor is
     attached (None: never)."""
@@ -172,7 +173,7 @@ def conversations(draw):
             st.none(), st.integers(min_value=0, max_value=len(phases) - 1)
         )
     )
-    return stream, phases, attach_at, codecs == ["array"]
+    return stream, phases, attach_at
 
 
 class _Connections:
@@ -234,19 +235,22 @@ def _converse(*args):
 
 
 async def _conversation(spec, phases, attach_at, seed, checkpoint, codec=None):
-    """Replies (by request id), ``stats`` and the wire-batch count of
-    one conversation against a fresh server on ``spec``; ``codec``
+    """Replies (by request id), ``stats``, the engine batches by entry
+    point (``{"wire": n, "objects": n}``) and the checkpoint of one
+    conversation against a fresh server on ``spec``; ``codec``
     overrides every request's codec."""
     engine = PlacementEngine(make_placer(spec, N_SHARDS), epoch_length=32)
-    wire_batches = 0
-    place_wire_batch = engine.place_wire_batch
+    entries = {"wire": 0, "objects": 0}
 
-    def counting(batch, **kwargs):
-        nonlocal wire_batches
-        wire_batches += 1
-        return place_wire_batch(batch, **kwargs)
+    def counting(entry, method):
+        def counted(batch, **kwargs):
+            entries[entry] += 1
+            return method(batch, **kwargs)
 
-    engine.place_wire_batch = counting
+        return counted
+
+    engine.place_wire_batch = counting("wire", engine.place_wire_batch)
+    engine.place_batch = counting("objects", engine.place_batch)
     server = PlacementServer(engine, port=0)
     await server.start()
     conns = _Connections()
@@ -277,8 +281,9 @@ async def _conversation(spec, phases, attach_at, seed, checkpoint, codec=None):
                     waited += 1
                     assert waited < 10_000, "a request never queued"
             if number == attach_at:
-                # Array frames already queued stay WireBatch; what
-                # arrives from here on decodes to objects.
+                # Batches queued before the monitor and after it are
+                # the same WireBatch; the engine materializes them from
+                # here on (the shadow placer reads objects).
                 monitor = DriftMonitor(
                     N_SHARDS, method="optchain", sample_every=2
                 )
@@ -301,11 +306,11 @@ async def _conversation(spec, phases, attach_at, seed, checkpoint, codec=None):
     _, header, payload = _read_container(checkpoint)
     # The nonce names the file, not the state.
     header.pop("snapshot_nonce")
-    return replies, stats, wire_batches, (header, payload)
+    return replies, stats, entries, (header, payload)
 
 
 def _run(spec, conversation, seed, codec=None):
-    _, phases, attach_at, _ = conversation
+    _, phases, attach_at = conversation
     with tempfile.TemporaryDirectory() as tmp:
         return _converse(
             spec, phases, attach_at, seed, Path(tmp) / "snap", codec
@@ -320,22 +325,21 @@ class TestMonoWirePathDifferential:
     def test_replies_stats_checkpoint_identical(
         self, golden_spec, spec, conversation, seed
     ):
-        stream, phases, attach_at, all_array = conversation
+        stream, phases, _ = conversation
         golden = _run(golden_spec, conversation, seed)
         served = _run(spec, conversation, seed)
         assert served[0] == golden[0]
         assert golden[1].pop("spec") != served[1].pop("spec")
         assert served[1] == golden[1]
-        assert golden[2] == 0
-        if all_array and attach_at != 0:
-            assert served[2] > 0, "the wire path never ran"
+        # One path: every batch enters either engine as a WireBatch.
+        for run in (golden, served):
+            assert run[2]["objects"] == 0 and run[2]["wire"] > 0
         # Checkpoint bytes order sparse vectors by backend (dict
         # insertion vs dense row), so their reference is the same
-        # backend with every request on the object path (full-output
-        # frames never decode to arrays).
-        objects = _run(spec, conversation, seed, codec="full")
-        assert objects[2] == 0
-        assert served[3] == objects[3]
+        # backend with every request sent as a full-output frame.
+        full = _run(spec, conversation, seed, codec="full")
+        assert full[2]["objects"] == 0
+        assert served[3] == full[3]
         # The conversation places the whole stream, and the golden
         # server agrees with the offline placer.
         assert golden[1]["n_placed"] == len(stream)
@@ -389,7 +393,7 @@ class TestMonoDegrade:
         assert not [e for e in caught if e.category is RuntimeWarning]
         assert served[0] == golden[0]
         assert served[1]["spec"] == "optchain:backend=python"
-        assert served[2] == 0
+        assert served[2] == golden[2] == {"wire": 12, "objects": 0}
 
     @requires_kernel
     def test_kernel_server_does_not_warn(self):
@@ -406,4 +410,4 @@ class TestMonoDegrade:
                     Path(tmp) / "numpy.snap",
                 )
         assert not [e for e in caught if e.category is RuntimeWarning]
-        assert served[2] == 2
+        assert served[2] == {"wire": 2, "objects": 0}

@@ -44,10 +44,10 @@ def expected(stream):
     return make_placer("optchain", N_SHARDS).place_stream(stream)
 
 
-def run_sharded(test_coro, n_workers=2, **kwargs):
+def run_sharded(test_coro, n_workers=2, spec=SPEC, **kwargs):
     async def main():
         server = ShardedPlacementServer(
-            dict(SPEC), n_workers, port=0, lease_length=LEASE, **kwargs
+            dict(spec), n_workers, port=0, lease_length=LEASE, **kwargs
         )
         await server.start()
         try:
@@ -97,6 +97,40 @@ class TestGolden:
 
         run_sharded(scenario, n_workers=2)
         assert served == expected
+
+    @pytest.mark.parametrize("codec", ["ndjson", "binary"])
+    def test_output_content_survives_lease_splits(self, stream, codec):
+        """A content-hashing strategy (``omniledger`` folds output
+        values into its digest) through full-output requests: the
+        coordinator forwards NDJSON batches, and slices binary frames
+        that cross a lease boundary, with their output content - what
+        the workers place must equal the monolithic placer. (A
+        coordinator re-encoding segments count-only gets 920 of these
+        1,200 shards wrong over NDJSON and 349 over binary frames.)"""
+        txs = stream[:1_200]
+        served = []
+
+        async def scenario(server):
+            if codec == "ndjson":
+                client = await AsyncPlacementClient.connect(port=server.port)
+            else:
+                client = await AsyncBinaryPlacementClient.connect(
+                    port=server.port
+                )
+            for offset in range(0, len(txs), 450):
+                served.extend(
+                    await client.place(
+                        txs[offset : offset + 450], full_outputs=True
+                    )
+                )
+            await client.close()
+
+        run_sharded(
+            scenario,
+            n_workers=2,
+            spec={"method": "omniledger", "n_shards": N_SHARDS},
+        )
+        assert served == make_placer("omniledger", N_SHARDS).place_stream(txs)
 
     def test_loadgen_through_sharded_service(self, stream):
         async def scenario(server):

@@ -248,3 +248,137 @@ class TestFuzz:
                 )
             except ProtocolError:
                 pass
+
+
+def _decoded_alike(payload: bytes):
+    """Decode ``payload`` with both decoders - the object decoder and
+    the column decoder plus materialization - and require the same
+    ``ProtocolError`` text or the same transactions; returns the error
+    text or the transactions."""
+    try:
+        txs = wire.decode_place_payload(payload)
+    except ProtocolError as exc:
+        with pytest.raises(ProtocolError) as caught:
+            wire.decode_place_arrays(payload)
+        assert str(caught.value) == str(exc)
+        return str(exc)
+    batch = wire.decode_place_arrays(payload)
+    assert batch.transactions() == txs
+    assert (batch.first_txid, len(batch)) == (txs[0].txid, len(txs))
+    assert list(batch.n_inputs) == [len(tx.inputs) for tx in txs]
+    assert list(batch.n_outputs) == [len(tx.outputs) for tx in txs]
+    assert list(batch.parents) == [op.txid for tx in txs for op in tx.inputs]
+    assert list(batch.indexes) == [op.index for tx in txs for op in tx.inputs]
+    return txs
+
+
+def _layout(payload: bytes) -> list[tuple[str, int, int]]:
+    """``(typecode, start, count)`` of every column of a valid payload."""
+    _, n_txs, flags = struct.unpack_from("<QIB", payload)
+    offset = wire.PLACE_HEADER_BYTES
+    n_inputs = struct.unpack_from(f"<{n_txs}I", payload, offset)
+    n_outputs = struct.unpack_from(f"<{n_txs}I", payload, offset + 4 * n_txs)
+    columns = [("I", n_txs), ("I", n_txs)]
+    if flags & 1:
+        columns += [("q", sum(n_outputs)), ("q", sum(n_outputs))]
+    columns += [("Q", sum(n_inputs)), ("I", sum(n_inputs))]
+    layout = []
+    for typecode, count in columns:
+        layout.append((typecode, offset, count))
+        offset += count * struct.calcsize(typecode)
+    assert offset == len(payload)
+    return layout
+
+
+class TestDecoderAgreement:
+    """The column decoder is the one PLACE parser; the object decoder
+    materializes its columns. Hostile inputs must not tell them apart."""
+
+    def test_full_outputs_with_a_negative_value(self, stream):
+        _, _, payload = _frame_parts(
+            wire.encode_place_request(1, stream[:40], full_outputs=True)
+        )
+        assert [
+            (tx.txid, tx.inputs, tx.outputs) for tx in _decoded_alike(payload)
+        ] == [(tx.txid, tx.inputs, tx.outputs) for tx in stream[:40]]
+        _, values, count = _layout(payload)[2]
+        mutated = bytearray(payload)
+        struct.pack_into("<q", mutated, values + 8 * (count // 2), -5)
+        struct.pack_into("<q", mutated, values + 8 * (count - 1), -7)
+        assert _decoded_alike(bytes(mutated)) == (
+            "malformed transaction in payload: TxOutput value must be "
+            ">= 0, got -5"
+        )
+
+    def test_parent_ids_past_two_to_the_63(self):
+        huge = [2**63, 2**63 + 5, 2**64 - 1]
+        txs = [
+            Transaction(txid=0, inputs=(), outputs=(TxOutput(1),)),
+            Transaction(
+                txid=1,
+                inputs=tuple(OutPoint(parent, 3) for parent in huge),
+                outputs=(),
+            ),
+        ]
+        for full in (False, True):
+            _, _, payload = _frame_parts(
+                wire.encode_place_request(1, txs, full_outputs=full)
+            )
+            decoded = _decoded_alike(payload)
+            # Materialized as the wire's u64 ...
+            assert [op.txid for op in decoded[1].inputs] == huge
+        np = pytest.importorskip("numpy")
+        from repro.core.backends.numpy_backend import _ValidationDriver
+
+        # ... and viewed as int64 by the kernel, which range-checks it.
+        parents, indexes, in_off, n_outputs = _ValidationDriver.columns(
+            wire.decode_place_arrays(payload)
+        )
+        assert parents.tolist() == [p - 2**64 for p in huge]
+        assert indexes.tolist() == [3, 3, 3]
+        assert in_off.tolist() == [0, 0, 3]
+        assert n_outputs.tolist() == [1, 0]
+        assert parents.dtype == np.int64
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_too_many_outputs(self, stream, full):
+        _, _, payload = _frame_parts(
+            wire.encode_place_request(1, stream[:20], full_outputs=full)
+        )
+        _, n_outputs, _ = _layout(payload)[1]
+        mutated = bytearray(payload)
+        struct.pack_into(
+            "<I", mutated, n_outputs + 4 * 7, wire.MAX_OUTPUTS_PER_TX + 1
+        )
+        assert _decoded_alike(bytes(mutated)) == (
+            f"n_outputs must be in [0, {wire.MAX_OUTPUTS_PER_TX}], "
+            f"got {wire.MAX_OUTPUTS_PER_TX + 1}"
+        )
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_truncation_inside_each_column(self, stream, full):
+        _, _, payload = _frame_parts(
+            wire.encode_place_request(1, stream[190:250], full_outputs=full)
+        )
+        layout = _layout(payload)
+        assert len(layout) == (6 if full else 4)
+        for typecode, start, count in layout:
+            size = count * struct.calcsize(typecode)
+            for cut in (start + 1, start + size // 2, start + size - 1):
+                assert _decoded_alike(payload[:cut]) == (
+                    f"place payload truncated: wanted {size} bytes for "
+                    f"{count} '{typecode}' entries, had {cut - start}"
+                )
+
+    def test_mutated_full_output_frames(self, stream):
+        rng = random.Random(4321)
+        _, _, payload = _frame_parts(
+            wire.encode_place_request(1, stream[180:240], full_outputs=True)
+        )
+        errors = 0
+        for _ in range(300):
+            mutated = bytearray(payload)
+            for _ in range(rng.randrange(1, 4)):
+                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+            errors += isinstance(_decoded_alike(bytes(mutated)), str)
+        assert 0 < errors < 300
