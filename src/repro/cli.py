@@ -392,9 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--kill-point",
-        choices=("journal", "place", "writeback"),
+        choices=("journal", "place", "writeback", "carry"),
         default="journal",
-        help="batch lifecycle point to die at",
+        help="batch lifecycle point to die at ('carry' needs --window > 1)",
+    )
+    chaos.add_argument(
+        "--window",
+        type=int,
+        default=1,
+        help="chunks in flight at once (pipelined client; runs queue "
+        "behind each other and writebacks are deferred)",
     )
     chaos.add_argument(
         "--torn-wal-bytes",
@@ -779,7 +786,8 @@ def _cmd_stats_server(args, host: str, port: int) -> int:
                 f"{count(metrics.get('acquire_round_trips', 0))} acquires  "
                 f"{metrics.get('parent_state_bytes', 0) / max(1, refs):.0f} "
                 f"B/ref  writebacks "
-                f"{metrics.get('writeback_bytes', 0) / 1024.0:.1f} KiB",
+                f"{metrics.get('writeback_bytes', 0) / 1024.0:.1f} KiB in "
+                f"{count(metrics.get('writeback_round_trips', 0))} flushes",
             )
     wal = obs.get("wal")
     if wal:
@@ -1151,6 +1159,7 @@ def _cmd_chaos(args) -> int:
                 kill_after=args.kill_after,
                 kill_point=args.kill_point,
                 torn_wal_bytes=args.torn_wal_bytes,
+                window=args.window,
                 log=lambda message: print(message, flush=True),
             )
         )
@@ -1173,6 +1182,8 @@ def _cmd_chaos(args) -> int:
                 if result["degraded"]
                 else "recovered placements diverged from the golden "
                 f"run (first at {result['first_divergence']})"
+                if not result["bit_identical"]
+                else f"the '{result['kill_point']}' kill never fired"
             ),
             file=sys.stderr,
             flush=True,

@@ -47,6 +47,10 @@ COUNTER_FIELDS = (
     "remote_parent_refs",
     "parent_state_bytes",
     "writeback_bytes",
+    # Standalone W_WRITEBACK flushes: writebacks no W_ACQUIRE or
+    # W_RELEASE carried, because a run ended mid-lease with nothing
+    # queued behind it (or a checkpoint, stats or drain came first).
+    "writeback_round_trips",
 )
 
 
@@ -164,6 +168,11 @@ _METRIC_COUNTERS = (
         "writeback_bytes",
         "repro_writeback_bytes_total",
         "writeback frame bytes sent by the write-lease holder",
+    ),
+    (
+        "writeback_round_trips",
+        "repro_writeback_round_trips_total",
+        "standalone writeback flushes (runs ending mid-lease, queue empty)",
     ),
 )
 

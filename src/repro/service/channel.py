@@ -15,11 +15,11 @@ The inter-worker request kinds (0x10..0x1F, reserved by wire.py):
 ====================  ====================================================
 ``W_HELLO``           worker -> coordinator: partition id, cursor, token
 ``W_PLACE``           coordinator -> owner: one place payload (raw bytes)
-``W_GRANT``           coordinator -> next owner: write lease + hot state
-``W_RELEASE``         active worker -> coordinator: lease done, hot state
-``W_ACQUIRE``         active worker -> coordinator: foreign parent txids
-``W_READ``            coordinator -> owning worker: read parent states
-``W_WRITEBACK``       active worker -> coordinator: parent mutations
+``W_GRANT``           coordinator -> next owner: writebacks, lease + hot state
+``W_RELEASE``         active worker -> coordinator: writebacks, hot state
+``W_ACQUIRE``         active worker -> coordinator: writebacks, parent txids
+``W_READ``            coordinator -> owning worker: writebacks, parent txids
+``W_WRITEBACK``       active worker -> coordinator: flush pending writebacks
 ``W_APPLY``           coordinator -> owning worker: apply writebacks
 ``W_STATS``           coordinator -> worker: partition stats
 ``W_CHECKPOINT``      coordinator -> worker: snapshot (optionally pause)
@@ -28,12 +28,26 @@ The inter-worker request kinds (0x10..0x1F, reserved by wire.py):
 ``W_PING``            coordinator -> worker: liveness probe (heartbeat)
 ====================  ====================================================
 
-The four parent-state kinds carry typed-array payloads, not JSON
-(layouts in :mod:`repro.service.partition`; everything little-endian):
+The parent-state kinds carry typed-array payloads, not JSON (layouts
+in :mod:`repro.service.partition`; everything little-endian):
 
-- ``W_ACQUIRE`` / ``W_READ`` request: a bare ``i64[n]`` column of
-  distinct parent txids. The coordinator reads it to group txids by
-  owner and sends each owner its share.
+- **Carried writebacks.** The lease holder does not wait out a round
+  trip per run to return its mutations: they stay pending and ride the
+  next message it sends anyway. ``W_ACQUIRE`` and ``W_RELEASE``
+  payloads therefore lead with one length-prefixed
+  :class:`~repro.service.partition.Writebacks` section - ``u32``
+  length, then the frame; length 0 when nothing is pending - built and
+  split by :func:`carry` / :func:`uncarry`. The coordinator applies a
+  carried frame before it reads from or grants to any owner, and
+  passes each owner its share the same way: inside that owner's
+  ``W_READ`` or ``W_GRANT`` (applied under the same engine-lock
+  acquisition, before the read or the hot-state import), or as a
+  ``W_APPLY`` to an owner with nothing to read or be granted.
+- ``W_ACQUIRE`` / ``W_READ`` request, after the writebacks section: a
+  bare ``i64[n]`` column of distinct parent txids. The coordinator
+  reads it to group txids by owner and sends each owner its share;
+  when one partition owns them all (always, with two workers) the
+  column is forwarded untouched.
 - ``W_READ`` reply (:data:`STATUS_FRAME`): one
   :class:`~repro.service.partition.ParentStates` frame - 16-byte header
   (rows, flags, spilled masks, vector entries), then the columns
@@ -49,15 +63,24 @@ The four parent-state kinds carry typed-array payloads, not JSON
 - ``W_WRITEBACK`` / ``W_APPLY`` request: one
   :class:`~repro.service.partition.Writebacks` frame (same header;
   ``txids``, ``spender_count``, ``mask`` columns, mask slot 0 = fully
-  spent; spill as above). The coordinator reads the txid column and,
-  when one partition owns every row, forwards the payload untouched.
-  Success is the empty :func:`ack` frame.
+  spent; spill as above). The coordinator forwards it untouched when
+  one partition owns every row - with two workers without reading it,
+  else after reading the txid column - and splits it otherwise.
+  Success is the empty :func:`ack` frame. ``W_WRITEBACK`` is only the
+  flush of writebacks no message would carry soon: the holder sends
+  it before the reply of a run that ends mid-lease with no follower
+  run of the lease queued, and before it answers ``W_CHECKPOINT``,
+  ``W_STATS`` or a drain.
+- ``W_RELEASE`` / ``W_GRANT`` request, after the writebacks section:
+  the JSON ``{"hot": ...}`` body (``{}`` for a grant that hands over
+  no hot state).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import struct
 from typing import Any, Awaitable, Callable
 
 from repro.errors import ProtocolError, ServiceError
@@ -94,6 +117,28 @@ def ack(request_id: int) -> bytes:
     JSON-status frame, which decodes as ``{"ok": True}`` with no JSON
     call at either end."""
     return encode_frame(RESPONSE_FLAG | STATUS_JSON, request_id)
+
+
+_U32 = struct.Struct("<I")
+
+
+def carry(writebacks: bytes, body: bytes) -> bytes:
+    """A payload led by its writebacks section (``writebacks`` may be
+    empty: nothing pending)."""
+    return b"".join((_U32.pack(len(writebacks)), writebacks, body))
+
+
+def uncarry(payload: bytes) -> tuple[bytes, bytes]:
+    """``(writebacks, body)`` of a :func:`carry` payload."""
+    if len(payload) < _U32.size:
+        raise ProtocolError("payload too short for its writebacks section")
+    (length,) = _U32.unpack_from(payload, 0)
+    end = _U32.size + length
+    if end > len(payload):
+        raise ProtocolError(
+            f"writebacks section of {length} bytes overruns the payload"
+        )
+    return payload[_U32.size : end], payload[end:]
 
 
 #: handler(kind, request_id, payload) -> complete response frame bytes.

@@ -26,7 +26,8 @@ Differences from the monolith, stated plainly:
   respawns it (bounded attempts, exponential backoff): the worker
   restores its per-partition checkpoint, replays its write-ahead
   journal tail (:mod:`repro.service.journal`) to the exact crash
-  state, re-delivers the possibly-lost writebacks of its final batch,
+  state, re-delivers the possibly-lost writebacks of its batches since
+  its last grant (a lease holder defers them onto its next message),
   and rejoins; the active partition is then re-granted the lease.
   Requests targeting a recovering partition get ``retry`` replies;
   writebacks destined for it are buffered and flushed on respawn.
@@ -125,6 +126,7 @@ class _WorkerHandle:
         "died_active",
         "pending_writebacks",
         "pending_grant",
+        "pending_grant_share",
         "startup_writebacks",
     )
 
@@ -140,7 +142,7 @@ class _WorkerHandle:
         #: True while the supervisor's recovery loop owns this worker.
         self.recovering = False
         #: Did the worker hold the write lease when it was lost? Only
-        #: then are its replayed final-batch writebacks re-delivered.
+        #: then are its replayed writebacks re-delivered.
         self.died_active = False
         #: Writebacks frames addressed to this worker while it was
         #: down, flushed (in order, one W_APPLY each - a later batch
@@ -150,6 +152,9 @@ class _WorkerHandle:
         #: A lease grant (hot state) that could not be delivered
         #: because this worker was down; flushed after respawn.
         self.pending_grant: "dict[str, Any] | None" = None
+        #: This worker's share of the releasing holder's last
+        #: writebacks, which rides the parked grant.
+        self.pending_grant_share = b""
         #: Recovery writebacks (one frame) reported at startup, resolved
         #: once all workers are up (only the stream frontier holder's
         #: apply).
@@ -318,7 +323,7 @@ class ShardedPlacementServer(PlacementServer):
         # Hand the write lease to the owner of the cursor's lease. Its
         # own (fresh or restored) state is current, so no hot payload.
         self._granted = self._owner_of(self._cursor)
-        await self._workers[self._granted].request_json(ch.W_GRANT, {})
+        await self._grant(self._workers[self._granted])
         if self._heartbeat_interval > 0:
             self._heartbeat_task = asyncio.create_task(
                 self._heartbeat_loop()
@@ -415,10 +420,10 @@ class ShardedPlacementServer(PlacementServer):
     async def _replay_startup_writebacks(self) -> None:
         """Re-deliver possibly-lost writebacks after a hard stop.
 
-        Only the stream-frontier holder's final journaled batch can
-        have undelivered writebacks (nothing placed after it anywhere);
-        every other partition's stash predates a completed lease
-        handoff and is dropped.
+        Only the stream-frontier holder's batches since its last grant
+        can have undelivered writebacks (nothing placed after them
+        anywhere); every other partition's stash predates a completed
+        lease handoff and is dropped.
         """
         for handle in self._workers:
             stashed = handle.startup_writebacks
@@ -428,7 +433,7 @@ class ShardedPlacementServer(PlacementServer):
                 and self._cursor > 0
                 and (handle._hello_cursor or 0) == self._cursor
             ):
-                await self._apply_updates_by_owner(stashed)
+                await self._apply_updates_by_owner(handle, stashed)
 
     async def stop(self) -> None:
         """Drain, checkpoint (if configured), stop workers. Idempotent."""
@@ -544,14 +549,15 @@ class ShardedPlacementServer(PlacementServer):
         writebacks = bytes.fromhex(recovery.get("writebacks") or "")
         if writebacks:
             if handle.recovering:
-                # A respawned worker replayed its journal; its final
-                # batch's foreign-parent mutations may never have
-                # reached their owners.  Re-applying is idempotent
-                # (absolute values), but only safe while no later
-                # placement could have advanced those parents - i.e.
-                # when the worker died holding the write lease.
-                if handle.died_active:
-                    await self._apply_updates_by_owner(writebacks)
+                # A respawned worker replayed its journal; the
+                # foreign-parent mutations of its batches since the
+                # last grant may never have reached their owners.
+                # Re-applying is idempotent (absolute values), but only
+                # safe while no later placement could have advanced
+                # those parents - i.e. when the worker died holding the
+                # write lease.
+                if handle.died_active or self._grant_landed(handle):
+                    await self._apply_updates_by_owner(handle, writebacks)
             else:
                 # Cold start: defer until every partition has said
                 # hello and the true frontier is known.
@@ -587,20 +593,33 @@ class ShardedPlacementServer(PlacementServer):
         payload: bytes,
     ) -> bytes:
         if kind == ch.W_ACQUIRE:
-            by_owner: dict[int, array] = {}
-            for txid in txids_from_bytes(payload).tolist():
-                by_owner.setdefault(self._owner_of(txid), array("q")).append(
-                    txid
-                )
-            # Owners are read concurrently; their replies are joined in
-            # owner order and never parsed here. The first failure, in
-            # that order, is the reply.
-            replies = await asyncio.gather(
+            updates, txids = ch.uncarry(payload)
+            shares = self._shares_by_owner(handle, updates)
+            reads = self._reads_by_owner(handle, txids)
+            owners = sorted(reads)
+            read_shares = {owner: shares.pop(owner, b"") for owner in owners}
+            # Owners are read concurrently, each applying its share of
+            # the carried writebacks first; an owner with a share and
+            # nothing to read is sent it alongside. The read replies
+            # are joined in owner order and never parsed here. The
+            # first failure, in that order, is the reply. A lone read
+            # (always, with two workers) is awaited directly: gather
+            # would cost this busy event loop two more turns.
+            calls = [
                 *(
-                    self._read_owner(owner_id, by_owner[owner_id])
-                    for owner_id in sorted(by_owner)
-                )
-            )
+                    self._read_owner(owner, read_shares[owner], reads[owner])
+                    for owner in owners
+                ),
+                *(
+                    self._apply_share(owner, share)
+                    for owner, share in shares.items()
+                ),
+            ]
+            if len(calls) == 1:
+                replies = [await calls[0]]
+            else:
+                replies = await asyncio.gather(*calls)
+            replies = replies[: len(owners)]
             for reply_kind, section in replies:
                 if reply_kind != ch.STATUS_FRAME:
                     return encode_frame(reply_kind, request_id, section)
@@ -610,81 +629,152 @@ class ShardedPlacementServer(PlacementServer):
                 b"".join(section for _, section in replies),
             )
         if kind == ch.W_WRITEBACK:
-            failure = await self._apply_updates_by_owner(payload)
+            failure = await self._apply_updates_by_owner(handle, payload)
             if failure is not None:
                 return encode_response_for(request_id, failure)
             return ch.ack(request_id)
         if kind == ch.W_RELEASE:
-            body = ch.parse_json_payload(payload)
-            hot = body["hot"]
+            updates, body = ch.uncarry(payload)
+            hot = ch.parse_json_payload(body)["hot"]
             async with self._handoff_lock:
                 self._cursor = max(self._cursor, hot["n_placed"])
                 next_owner = self._owner_of(hot["n_placed"])
+                grantee = self._workers[next_owner]
+                # The lease's last writebacks land before the grant:
+                # other owners' shares first, the grantee's inside it.
+                shares = self._shares_by_owner(handle, updates)
+                share = shares.pop(next_owner, b"")
+                for owner_id, owned in shares.items():
+                    await self._apply_share(owner_id, owned)
                 try:
-                    await self._workers[next_owner].request_json(
-                        ch.W_GRANT, {"hot": hot}
-                    )
+                    await self._grant(grantee, hot, share)
                 except ChannelClosed:
-                    # Park the grant; the supervisor delivers it once
-                    # the next owner respawns. The release itself
-                    # succeeds - the stream stalls (retry replies)
-                    # instead of forking.
-                    self._workers[next_owner].pending_grant = hot
+                    # Park the grant with its share; the supervisor
+                    # delivers both once the next owner respawns. The
+                    # release itself succeeds - the stream stalls
+                    # (retry replies) instead of forking.
+                    grantee.pending_grant = hot
+                    grantee.pending_grant_share = share
                 self._granted = next_owner
             return encode_response_for(request_id, {"ok": True})
         raise ProtocolError(f"unexpected worker request kind 0x{kind:02x}")
 
-    async def _read_owner(
-        self, owner_id: int, txids: array
-    ) -> tuple[int, bytes]:
-        """One ``W_READ``; a lost owner reads as its ``retry`` reply."""
-        try:
-            return await self._workers[owner_id].request(
-                ch.W_READ, txids_to_bytes(txids)
+    async def _grant(
+        self,
+        handle: _WorkerHandle,
+        hot: "dict[str, Any] | None" = None,
+        share: bytes = b"",
+    ) -> None:
+        """One ``W_GRANT`` (raises ChannelClosed): the write lease, the
+        hot state when it changes hands, and the grantee's share of the
+        previous holder's last writebacks, applied before the import."""
+        body = {} if hot is None else {"hot": hot}
+        response = decode_response(
+            *await handle.request(
+                ch.W_GRANT, ch.carry(share, ch.json_payload(body))
             )
+        )
+        if share and not response.get("ok"):
+            self._writeback_refused(handle.partition_id, response)
+
+    def _reads_by_owner(
+        self, holder: _WorkerHandle, txids: bytes
+    ) -> dict[int, bytes]:
+        """The acquired txid column split by owner. The column is
+        forwarded untouched when one partition owns every txid: always
+        with two workers (a holder never reads its own parents), else
+        when they all fall in one lease."""
+        column = txids_from_bytes(txids)
+        if not column:
+            return {}
+        if self._n_workers == 2:
+            return {1 - holder.partition_id: txids}
+        if min(column) // self._lease_length == max(column) // self._lease_length:
+            return {self._owner_of(column[0]): txids}
+        by_owner: dict[int, array] = {}
+        for txid in column.tolist():
+            by_owner.setdefault(self._owner_of(txid), array("q")).append(txid)
+        return {owner: txids_to_bytes(owned) for owner, owned in by_owner.items()}
+
+    def _shares_by_owner(
+        self, holder: _WorkerHandle, updates: bytes
+    ) -> dict[int, bytes]:
+        """One :class:`Writebacks` frame of ``holder``'s split into
+        per-owner frames. The bytes are forwarded untouched when one
+        partition owns every row: always with two workers (a holder
+        writes back only parents it does not own)."""
+        if not updates:
+            return {}
+        if self._n_workers == 2:
+            return {1 - holder.partition_id: updates}
+        by_owner = Writebacks.from_bytes(updates).by_owner(
+            self._lease_length, self._n_workers
+        )
+        return {owner: frame.to_bytes() for owner, frame in by_owner.items()}
+
+    async def _read_owner(
+        self, owner_id: int, share: bytes, txids: bytes
+    ) -> tuple[int, bytes]:
+        """One ``W_READ`` carrying the owner's writebacks share; a lost
+        owner reads as its ``retry`` reply."""
+        owner = self._workers[owner_id]
+        try:
+            reply = await owner.request(ch.W_READ, ch.carry(share, txids))
         except ChannelClosed:
             # Owner is down/recovering: the active batch fails with a
-            # retryable reply, no state was mutated.
+            # retryable reply, no state was mutated. Its share is
+            # buffered like any writeback addressed to a down owner.
+            if share:
+                owner.pending_writebacks.append(share)
             return (
                 RESPONSE_FLAG | STATUS_ERROR_RETRY,
                 f"partition {owner_id} is recovering; retry later".encode(),
             )
+        if share and reply[0] != ch.STATUS_FRAME:
+            self._writeback_refused(owner_id, decode_response(*reply))
+        return reply
+
+    async def _apply_share(
+        self, owner_id: int, share: bytes
+    ) -> "dict[str, Any] | None":
+        """``W_APPLY`` one owner's share of the writebacks.
+
+        A share addressed to a down partition is buffered on its handle
+        and flushed when it rejoins (safe: the values are absolute, so
+        re-application is idempotent). Returns a failure response if
+        the owner *refused* its share - the partitions have forked and
+        the service degrades - else ``None``.
+        """
+        owner = self._workers[owner_id]
+        try:
+            response = decode_response(*await owner.request(ch.W_APPLY, share))
+        except ChannelClosed:
+            owner.pending_writebacks.append(share)
+            return None
+        if not response.get("ok"):
+            self._writeback_refused(owner_id, response)
+            return response
+        return None
+
+    def _writeback_refused(self, owner_id: int, response: dict) -> None:
+        # The batch already committed on the active partition; an owner
+        # refusing its share of the mutations means the partitions have
+        # forked. Serving on would silently return wrong results.
+        self._degraded = (
+            f"partition {owner_id} rejected a writeback "
+            f"({response.get('error', 'unknown error')}); "
+            "restart from the last checkpoint"
+        )
 
     async def _apply_updates_by_owner(
-        self, updates: bytes
+        self, holder: _WorkerHandle, updates: bytes
     ) -> "dict[str, Any] | None":
-        """Route one :class:`Writebacks` frame to the owning partitions.
-
-        Rows addressed to a down partition are buffered on its handle
-        and flushed when it rejoins (safe: the values are absolute, so
-        re-application is idempotent). Returns a failure response if an
-        owner *refused* its share - the partitions have forked and the
-        service degrades - else ``None``.
-        """
-        by_owner = Writebacks.from_bytes(updates).by_owner(
-            self._lease_length, self._n_workers
-        )
-        for owner_id, frame in by_owner.items():
-            owner = self._workers[owner_id]
-            owned = frame.to_bytes()
-            try:
-                response = decode_response(
-                    *await owner.request(ch.W_APPLY, owned)
-                )
-            except ChannelClosed:
-                owner.pending_writebacks.append(owned)
-                continue
-            if not response.get("ok"):
-                # The batch already committed on the active
-                # partition; an owner refusing its share of the
-                # mutations means the partitions have forked.
-                # Serving on would silently return wrong results.
-                self._degraded = (
-                    f"partition {owner_id} rejected a writeback "
-                    f"({response.get('error', 'unknown error')}); "
-                    "restart from the last checkpoint"
-                )
-                return response
+        """Route one :class:`Writebacks` frame to the owning partitions,
+        one :meth:`_apply_share` each; returns the first refusal."""
+        for owner_id, share in self._shares_by_owner(holder, updates).items():
+            failure = await self._apply_share(owner_id, share)
+            if failure is not None:
+                return failure
         return None
 
     async def _on_worker_lost(self, handle: _WorkerHandle) -> None:
@@ -743,7 +833,7 @@ class ShardedPlacementServer(PlacementServer):
             except (asyncio.TimeoutError, _WorkerExited):
                 self._hello_waiters.pop(handle.partition_id, None)
                 continue
-            if await self._adopt_respawned(handle, expected):
+            if await self._adopt_respawned(handle):
                 return
             if self._degraded is not None:
                 return
@@ -754,49 +844,69 @@ class ShardedPlacementServer(PlacementServer):
                 "the last checkpoint"
             )
 
-    async def _adopt_respawned(
-        self, handle: _WorkerHandle, expected: int
-    ) -> bool:
+    async def _adopt_respawned(self, handle: _WorkerHandle) -> bool:
         """Validate a respawned worker's cursor and restore its role.
 
         Returns False to retry the respawn (transient failure); sets
         ``self._degraded`` for unrecoverable divergence.
         """
+        # Computed now, not when the loss was noticed: a release that
+        # was in flight then has since parked its grant here.
+        expected = self._expected_cursor(
+            handle.partition_id,
+            assume_idle=handle.pending_grant is not None,
+        )
         reported = handle._hello_cursor or 0
-        if handle.pending_grant is not None:
+        hot = handle.pending_grant
+        if hot is not None and not self._grant_landed(handle):
             # Died between release and grant: must sit exactly at its
             # previous lease end; deliver the parked hot state.
             if reported != expected:
                 self._stale_cursor(handle, reported, expected)
                 return False
-            hot = handle.pending_grant
             try:
-                await handle.request_json(ch.W_GRANT, {"hot": hot})
+                await self._grant(handle, hot, handle.pending_grant_share)
             except ChannelClosed:
                 return False
             handle.pending_grant = None
+            handle.pending_grant_share = b""
             return True
-        if handle.died_active:
+        if handle.died_active or hot is not None:
+            # Died holding the write lease - or after its journal took
+            # a grant (and the share before it) whose reply never
+            # arrived, which is the same.
             # Journal replay may legitimately land anywhere between
-            # the last acked batch and the end of the lease it held
-            # (a batch could have committed to the journal + engine
-            # without its response ever reaching the coordinator).
+            # the last acked batch (or the grant) and the end of the
+            # lease (a batch could have committed to the journal +
+            # engine without its response ever reaching the
+            # coordinator).
+            start = expected if hot is None else hot["n_placed"]
             lease_end = (
-                expected // self._lease_length + 1
+                start // self._lease_length + 1
             ) * self._lease_length
-            if not expected <= reported <= lease_end:
-                self._stale_cursor(handle, reported, expected)
+            if not start <= reported <= lease_end:
+                self._stale_cursor(handle, reported, start)
                 return False
             self._cursor = max(self._cursor, reported)
             try:
-                await handle.request_json(ch.W_GRANT, {})
+                await self._grant(handle)
             except ChannelClosed:
                 return False
+            handle.pending_grant = None
+            handle.pending_grant_share = b""
             return True
         if reported != expected:
             self._stale_cursor(handle, reported, expected)
             return False
         return True
+
+    @staticmethod
+    def _grant_landed(handle: _WorkerHandle) -> bool:
+        """Did a respawned worker's journal take the grant parked for
+        it? Its W_GRANT was processed but the reply was lost with the
+        process: replay puts it at or past the granted cursor."""
+        hot = handle.pending_grant
+        return hot is not None and (handle._hello_cursor or 0) >= hot["n_placed"]
 
     def _stale_cursor(
         self, handle: _WorkerHandle, reported: int, expected: int

@@ -11,8 +11,16 @@ and SIGKILLs the process at a chosen point in the batch lifecycle:
   places the batch - recovery must replay it.
 - ``place``: after the engine placed the batch, before its writebacks
   were delivered - recovery must replay *and* re-deliver writebacks.
-- ``writeback``: after the writeback round trip - replay is a pure
-  re-execution, the re-delivered writebacks are idempotent no-ops.
+- ``writeback``: after the writeback flush decision (the flush itself,
+  when no message would carry them) - replay is a pure re-execution,
+  re-delivered writebacks that were flushed are idempotent no-ops.
+- ``carry``: after a run's replies went out while its writebacks are
+  still pending, waiting to ride the next ``W_ACQUIRE`` or
+  ``W_RELEASE`` - the client already holds placements whose effects
+  on the owners exist only in the journal, so recovery must re-deliver
+  the writebacks of every batch since the grant. Fires at the first
+  such moment at or after the Nth append; it needs a pipelined client
+  (``window`` > 1) so that a follower run is queued behind the run.
 
 ``torn_wal_bytes`` additionally truncates the journal tail before
 dying, simulating a host crash between ``write`` and ``fsync``; the
@@ -38,7 +46,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-KILL_POINTS = ("journal", "place", "writeback")
+KILL_POINTS = ("journal", "place", "writeback", "carry")
 
 
 @dataclass(frozen=True)
@@ -91,7 +99,7 @@ class FaultInjector:
 
     Wired up by the worker process: ``on_batch_append`` becomes the
     journal's append hook, ``maybe_kill`` is called by the worker at
-    the ``place`` and ``writeback`` lifecycle points.
+    the ``place``, ``writeback`` and ``carry`` lifecycle points.
     """
 
     def __init__(self, plan: FaultPlan, partition_id: int) -> None:
@@ -160,6 +168,7 @@ async def run_chaos_scenario(
     placer_kwargs: "dict[str, Any] | None" = None,
     seed: int = 7,
     chunk_size: int = 250,
+    window: int = 1,
     checkpoint_after_chunks: int = 3,
     kill_partition: int = 0,
     kill_after: int = 2,
@@ -175,8 +184,13 @@ async def run_chaos_scenario(
     in-process engine (the golden), once through a sharded service
     whose ``kill_partition`` worker SIGKILLs itself per the fault plan
     while a retrying client drives the load - and compares every shard
-    assignment. Returns a verdict dict (``ok``, ``bit_identical``,
-    ``degraded``, ``retries``, ``recovery_s``, ``events``).
+    assignment. A worker run takes at most two chunks; ``window`` > 1
+    pipelines the load - that many chunks in flight at once, each on
+    its own retrying connection - so runs queue behind each other and
+    writebacks are deferred. Returns a verdict dict (``ok``,
+    ``bit_identical``, ``degraded``, ``killed``, ``retries``,
+    ``recovery_s``, ``events``); ``ok`` requires that the planned kill
+    fired.
     """
     # Deferred imports: the injector half of this module must stay
     # import-light inside worker processes.
@@ -232,6 +246,7 @@ async def run_chaos_scenario(
         n_workers,
         port=0,
         lease_length=lease_length,
+        max_batch_txs=2 * chunk_size,
         checkpoint_path=os.path.join(workdir, "chaos.snap"),
         respawn_backoff=0.05,
         heartbeat_interval=1.0,
@@ -244,28 +259,26 @@ async def run_chaos_scenario(
         f"{lease_length}, kill partition {kill_partition} after "
         f"{kill_after} journaled batches at '{kill_point}'"
         + (f", torn tail {torn_wal_bytes}B" if torn_wal_bytes else "")
+        + (f", {window} chunks in flight" if window > 1 else "")
     )
-    served: list[int] = []
+    offsets = list(range(0, len(stream), chunk_size))
+    placed: dict[int, list[int]] = {}
     degraded = None
     retries = 0
     recovery_s = 0.0
-    try:
-        client = await AsyncBinaryPlacementClient.connect(
-            port=server.port,
-            retries=max_retries,
-            request_timeout=request_timeout,
-            backoff_seed=seed,
-        )
-        try:
-            for index, offset in enumerate(
-                range(0, len(stream), chunk_size)
-            ):
+
+    async def place_chunks(clients, indexes) -> None:
+        """Place ``indexes`` with one chunk in flight per client."""
+        queue = iter(indexes)
+
+        async def drive(client) -> None:
+            nonlocal recovery_s
+            for index in queue:
+                offset = offsets[index]
                 before = client.retries_used
                 sent = time.perf_counter()
-                served.extend(
-                    await client.place(
-                        stream[offset : offset + chunk_size]
-                    )
+                placed[index] = await client.place(
+                    stream[offset : offset + chunk_size]
                 )
                 if client.retries_used > before:
                     chunk_s = time.perf_counter() - sent
@@ -275,24 +288,45 @@ async def run_chaos_scenario(
                         f"{client.retries_used - before} retries, "
                         f"{chunk_s:.2f}s to recover"
                     )
-                if index + 1 == checkpoint_after_chunks:
-                    for _ in range(200):
-                        try:
-                            await client.checkpoint()
-                            break
-                        except RetryLaterError:
-                            await asyncio.sleep(0.05)
-                    emit(
-                        f"checkpoint taken after chunk {index} "
-                        f"(cursor {offset + chunk_size})"
+
+        await asyncio.gather(*(drive(client) for client in clients))
+
+    try:
+        clients = []
+        try:
+            for slot in range(max(1, window)):
+                clients.append(
+                    await AsyncBinaryPlacementClient.connect(
+                        port=server.port,
+                        retries=max_retries,
+                        request_timeout=request_timeout,
+                        backoff_seed=seed + slot,
                     )
-            ping = await client.ping()
+                )
+            split = min(checkpoint_after_chunks, len(offsets))
+            await place_chunks(clients, range(split))
+            if 0 < checkpoint_after_chunks <= len(offsets):
+                for _ in range(200):
+                    try:
+                        await clients[0].checkpoint()
+                        break
+                    except RetryLaterError:
+                        await asyncio.sleep(0.05)
+                emit(
+                    f"checkpoint taken after chunk {split - 1} "
+                    f"(cursor {min(split * chunk_size, len(stream))})"
+                )
+            await place_chunks(clients, range(split, len(offsets)))
+            ping = await clients[0].ping()
             degraded = ping.get("degraded")
-            retries = client.retries_used
+            retries = sum(client.retries_used for client in clients)
         finally:
-            await client.close()
+            for client in clients:
+                await client.close()
     finally:
         await server.stop()
+    served = [shard for index in sorted(placed) for shard in placed[index]]
+    killed = not FaultInjector(plan, kill_partition).active
 
     bit_identical = served == golden
     first_diff = next(
@@ -307,13 +341,14 @@ async def run_chaos_scenario(
         f"served {len(served)}/{len(golden)} placements; "
         f"bit_identical={bit_identical}"
         + (f" (first divergence at {first_diff})" if first_diff is not None else "")
-        + f"; degraded={degraded!r}; retries={retries}"
+        + f"; degraded={degraded!r}; killed={killed}; retries={retries}"
     )
     return {
-        "ok": bit_identical and degraded is None,
+        "ok": bit_identical and degraded is None and killed,
         "bit_identical": bit_identical,
         "first_divergence": first_diff,
         "degraded": degraded,
+        "killed": killed,
         "n_txs": len(stream),
         "served": len(served),
         "retries": retries,
@@ -322,5 +357,6 @@ async def run_chaos_scenario(
         "kill_after": kill_after,
         "kill_point": kill_point,
         "torn_wal_bytes": torn_wal_bytes,
+        "window": window,
         "events": events,
     }

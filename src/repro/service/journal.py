@@ -31,11 +31,16 @@ Design points:
   under the engine lock; a nonce mismatch at recovery means the WAL
   predates (or outlived) the snapshot next to it and is discarded -
   the snapshot alone is then the complete state.
-- **Lost-writeback healing.** The final journaled batch may have died
-  between placing and delivering its writebacks. Replay returns that
-  batch's writebacks; the coordinator re-applies them to the owners
-  (absolute values - re-application is exact) before the partition
-  rejoins service.
+- **Lost-writeback healing.** A lease holder defers its writebacks
+  onto its next ``W_ACQUIRE`` or ``W_RELEASE`` (:mod:`repro.service.
+  worker`), so it can die after replying to any number of runs whose
+  writebacks never left the process. Replay returns the merged
+  writebacks of **every** successful batch since the last grant record
+  - all the batches of the lease the holder died in; the coordinator
+  re-applies them to the owners (absolute values - re-application is
+  exact, and nothing placed after them) before the partition rejoins
+  service. Writebacks of earlier leases rode the ``W_RELEASE`` that
+  ended them and were applied before the next grant.
 
 On-disk layout::
 
@@ -287,10 +292,11 @@ class BatchJournal:
 class ReplayResult:
     """Outcome of one recovery replay."""
 
-    #: Writebacks of the final journaled batch - the only batch whose
-    #: original writeback delivery may have been lost in the crash.
-    #: Re-applied by the coordinator before the partition rejoins
-    #: service (absolute values; exact either way).
+    #: Merged writebacks of every successful batch since the last grant
+    #: record - the batches whose writebacks may still have been
+    #: pending in the crashed process. Re-applied by the coordinator
+    #: before the partition rejoins service (absolute values; exact
+    #: either way).
     writebacks: Writebacks = field(default_factory=Writebacks)
     n_batches: int = 0
     n_grants: int = 0
@@ -410,7 +416,7 @@ def replay_journal(
             fh.truncate(end)
             fh.flush()
             os.fsync(fh.fileno())
-    last_batch_writebacks = Writebacks()
+    lease_writebacks: list[Writebacks] = []
     for rtype, payload in records:
         if rtype == REC_BATCH:
             segments, states = _decode_batch_payload(payload)
@@ -424,25 +430,23 @@ def replay_journal(
             except EngineError:
                 # The original attempt failed identically (the reject
                 # is atomic); the record is a no-op.
-                last_batch_writebacks = Writebacks()
                 continue
-            last_batch_writebacks = writebacks
+            lease_writebacks.append(writebacks)
             result.n_batches += 1
         elif rtype == REC_GRANT:
             partition.import_hot_state(
                 json.loads(payload.decode("utf-8"))
             )
             result.n_grants += 1
-            last_batch_writebacks = Writebacks()
+            # The previous lease's writebacks rode its W_RELEASE.
+            lease_writebacks = []
         elif rtype == REC_APPLY:
+            # Another holder's writebacks: they never touch the parents
+            # this partition's own batches wrote back (those are other
+            # partitions'), so they leave the stash alone.
             partition.apply_writebacks(Writebacks.from_bytes(payload))
             result.n_applies += 1
-            last_batch_writebacks = Writebacks()
         # Unknown record types are skipped (forward compatibility).
-        # Only a *final* successful batch can have undelivered
-        # writebacks: any later record proves the crashed process
-        # survived past that batch's writeback round trip, so
-        # last_batch_writebacks is cleared on every non-batch record.
-    result.writebacks = last_batch_writebacks
+    result.writebacks = Writebacks.merge(lease_writebacks)
     result.replayed = True
     return result

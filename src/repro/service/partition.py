@@ -330,6 +330,29 @@ class Writebacks(_Frame):
         ("mask", "q", 0, False),
     )
 
+    @classmethod
+    def merge(cls, frames: "Sequence[Writebacks]") -> "Writebacks":
+        """One frame that applies like ``frames`` applied in order.
+
+        The values are absolute, so a later row for a txid replaces an
+        earlier one; each txid sits where its last row was, which keeps
+        the order fully spent parents are released in. A single frame
+        comes back as it is.
+        """
+        frames = [frame for frame in frames if frame]
+        if len(frames) <= 1:
+            return frames[0] if frames else _NO_WRITEBACKS
+        rows: dict[int, tuple[int, int]] = {}
+        for frame in frames:
+            for txid, count, mask in zip(
+                frame.txids.tolist(), frame.spender_count.tolist(), frame.masks()
+            ):
+                rows.pop(txid, None)
+                rows[txid] = (count, mask)
+        counts, masks = zip(*rows.values())
+        slots, spill = pack_masks(masks)
+        return cls(list(rows), counts, slots, spill=spill)
+
     def by_owner(
         self, lease_length: int, n_partitions: int
     ) -> "dict[int, Writebacks]":

@@ -12,10 +12,20 @@ fused placement loop, and checkpoint serialization. Its life cycle:
    write lease - this is the decode/placement overlap the sharding
    buys);
 3. while granted, place contiguous runs from the cursor, resolving
-   foreign parents through ``W_ACQUIRE`` and returning mutations
-   through ``W_WRITEBACK``; reorder, coalescing, atomic-reject replay
-   and reply splitting are :mod:`repro.service.sequencer`, the same
-   code the single-process server dispatches through;
+   foreign parents through ``W_ACQUIRE``; reorder, coalescing,
+   atomic-reject replay and reply splitting are
+   :mod:`repro.service.sequencer`, the same code the single-process
+   server dispatches through. A run's mutations to foreign parents
+   (its writebacks) stay pending and ride the next ``W_ACQUIRE`` or,
+   when the run ends the lease, the ``W_RELEASE`` that follows it, so
+   a run costs at most one coordinator round trip. Only when neither
+   is due - the run ends mid-lease with no follower run of the lease
+   queued - are they flushed in a standalone ``W_WRITEBACK`` before
+   the run's reply, as they are before this worker answers
+   ``W_CHECKPOINT``, ``W_STATS`` or a drain: nothing observable waits
+   on a message that may never come. A holder that dies with
+   writebacks pending is healed from its journal
+   (:mod:`repro.service.journal`);
 4. on reaching its lease end, export the hot state and ``W_RELEASE``
    the lease; the coordinator grants the next owner.
 
@@ -137,6 +147,9 @@ class PlacementWorker:
             max_reorder=max_reorder_requests,
         )
         self._kick = self._sequencer.wakeup
+        #: Writebacks of placed runs not yet handed to the coordinator,
+        #: oldest first (see module docstring, step 3).
+        self._writebacks: list[Writebacks] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -187,8 +200,14 @@ class PlacementWorker:
         elif kind == ch.W_GRANT:
             response = await self._handle_grant(payload)
         elif kind == ch.W_READ:
-            txids = txids_from_bytes(payload)
+            updates, txids = ch.uncarry(payload)
+            txids = txids_from_bytes(txids)
             async with self._engine_lock:
+                if updates:
+                    # The holder's carried writebacks land before the read.
+                    self._partition.apply_writebacks(
+                        Writebacks.from_bytes(updates)
+                    )
                 states = self._partition.read_parents(txids)
             return encode_frame(ch.STATUS_FRAME, request_id, states.to_bytes())
         elif kind == ch.W_APPLY:
@@ -198,6 +217,7 @@ class PlacementWorker:
             return ch.ack(request_id)
         elif kind == ch.W_STATS:
             async with self._engine_lock:
+                await self._flush_writebacks()
                 journal = self._partition.journal
                 monitor = self._partition.engine.drift_monitor
                 response = {
@@ -234,6 +254,8 @@ class PlacementWorker:
             # placed and the rest is failed; a drain response therefore
             # means "engine quiescent".
             await self._stopped.wait()
+            async with self._engine_lock:
+                await self._flush_writebacks()
             if not body.get("drain"):
                 self._exit.set()
             response = {"ok": True, "n_placed": self._partition.n_placed}
@@ -263,8 +285,12 @@ class PlacementWorker:
         return await self._sequencer.submit(batch)
 
     async def _handle_grant(self, payload: bytes) -> dict:
-        body = ch.parse_json_payload(payload)
+        updates, body = ch.uncarry(payload)
+        body = ch.parse_json_payload(body)
         async with self._engine_lock:
+            if updates:
+                # The previous holder's last writebacks land first.
+                self._partition.apply_writebacks(Writebacks.from_bytes(updates))
             hot = body.get("hot")
             if hot is not None:
                 self._partition.import_hot_state(hot)
@@ -293,6 +319,7 @@ class PlacementWorker:
                 "error": "worker has no checkpoint path",
             }
         async with self._engine_lock:
+            await self._flush_writebacks()
             size = self._partition.checkpoint(
                 path,
                 compress=body.get(
@@ -355,12 +382,20 @@ class PlacementWorker:
                 return
             group = sequencer.take_run()
             if group is None:
+                if self._writebacks:
+                    # Left by a run whose follower was then rejected.
+                    async with self._engine_lock:
+                        await self._flush_writebacks()
                 return
             async with self._engine_lock:
                 await sequencer.place_run(
                     group, self._place_with_remotes
                 )
             await asyncio.sleep(0)
+            if self.faults is not None and self._writebacks:
+                # The run's replies went out during the yield above;
+                # its writebacks are still pending.
+                self.faults.maybe_kill("carry")
 
     async def _ask_coordinator(
         self, kind: int, payload: bytes
@@ -370,17 +405,55 @@ class PlacementWorker:
         except ChannelClosed:
             raise RunFailed("engine", "coordinator link lost")
 
+    def _take_writebacks(self) -> bytes:
+        """The pending writebacks as one frame (empty: none pending),
+        from here on the coordinator's to deliver."""
+        if not self._writebacks:
+            return b""
+        payload = Writebacks.merge(self._writebacks).to_bytes()
+        self._writebacks = []
+        self.metrics.writeback_bytes += len(payload)
+        return payload
+
+    async def _flush_writebacks(self) -> None:
+        """Deliver the pending writebacks in a standalone round trip.
+
+        The reply is not inspected. The runs are committed locally; a
+        failed writeback means an owner is gone or forked. The
+        coordinator buffers writebacks for a recovering owner (and
+        degrades the service on a refusal), so subsequent placements
+        are refused; surfacing an error here would mis-report runs that
+        were already placed.
+        """
+        payload = self._take_writebacks()
+        if payload:
+            self.metrics.writeback_round_trips += 1
+            await self._ask_coordinator(ch.W_WRITEBACK, payload)
+
+    def _carrier_due(self) -> bool:
+        """Will a message this worker sends next carry the pending
+        writebacks: the ``W_RELEASE`` (the run reached its lease end),
+        or the next run's ``W_ACQUIRE`` (a follower run of this lease
+        is queued at the cursor)?"""
+        cursor = self._partition.n_placed
+        return (
+            cursor % self._partition.lease_length == 0
+            or cursor in self._sequencer.pending
+        )
+
     async def _place_with_remotes(self, batch: WireBatch) -> list[int]:
-        """One batch through acquire -> place -> writeback (the
-        sequencer times it round-trips included: the latency a client's
-        batch actually observes at this partition)."""
+        """One batch through acquire -> place (the sequencer times it
+        round trips included: the latency a client's batch actually
+        observes at this partition). The acquire carries the pending
+        writebacks; the batch's own join them."""
         partition = self._partition
         metrics = self.metrics
         needed = partition.parents_needed(batch)
         states = None
         if needed:
             kind, payload = await self._ask_coordinator(
-                ch.W_ACQUIRE, txids_to_bytes(needed)
+                ch.W_ACQUIRE,
+                ch.carry(self._take_writebacks(), txids_to_bytes(needed)),
             )
             if kind != ch.STATUS_FRAME:
                 response = decode_response(kind, payload)
@@ -404,15 +477,9 @@ class PlacementWorker:
         if self.faults is not None:
             self.faults.maybe_kill("place")
         if writebacks:
-            # The reply is not inspected. The batch is committed
-            # locally; a failed writeback means an owner is gone or
-            # forked. The coordinator buffers writebacks for a
-            # recovering owner (and degrades the service on a refusal),
-            # so subsequent placements are refused; surfacing an error
-            # here would mis-report this already-placed batch.
-            payload = writebacks.to_bytes()
-            metrics.writeback_bytes += len(payload)
-            await self._ask_coordinator(ch.W_WRITEBACK, payload)
+            self._writebacks.append(writebacks)
+        if not self._carrier_due():
+            await self._flush_writebacks()
         if self.faults is not None:
             self.faults.maybe_kill("writeback")
         return shards
@@ -429,7 +496,8 @@ class PlacementWorker:
         hot = partition.export_hot_state()
         self._granted = False
         kind, payload = await self.channel.request(
-            ch.W_RELEASE, ch.json_payload({"hot": hot})
+            ch.W_RELEASE,
+            ch.carry(self._take_writebacks(), ch.json_payload({"hot": hot})),
         )
         response = decode_response(kind, payload)
         if not response.get("ok"):

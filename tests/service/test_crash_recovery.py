@@ -12,13 +12,18 @@ spawned and really SIGKILLed.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
+from repro.core.backends import backend_available
 from repro.datasets.synthetic import synthetic_stream
 from repro.errors import OverloadError
+from repro.service import channel as ch
+from repro.service.channel import ChannelClosed
 from repro.service.client import AsyncBinaryPlacementClient
-from repro.service.coordinator import ShardedPlacementServer
+from repro.service.coordinator import ShardedPlacementServer, _WorkerHandle
+from repro.service.worker import build_partition
 from repro.service.faults import FaultPlan, run_chaos_scenario
 from repro.service.loadgen import run_loadgen_async
 
@@ -68,6 +73,25 @@ class TestKillMidBatch:
         )
         assert verdict["bit_identical"], verdict
         assert verdict["degraded"] is None
+        assert verdict["retries"] > 0
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_kill_with_writebacks_carried(self, tmp_path, backend):
+        # Four chunks in flight: runs queue behind each other, so the
+        # holder replies before its writebacks leave the process. It
+        # dies right there; only its journal still knows them.
+        if backend == "numpy" and not backend_available("numpy"):
+            pytest.skip("numpy backend absent")
+        verdict = chaos(
+            tmp_path,
+            n_txs=3_000,
+            lease_length=600,
+            chunk_size=250,
+            kill_point="carry",
+            window=4,
+            strategy=f"optchain:backend={backend}",
+        )
+        assert verdict["killed"] and verdict["ok"], verdict
         assert verdict["retries"] > 0
 
     def test_kill_after_checkpoint(self, tmp_path):
@@ -196,3 +220,80 @@ class TestLoadgenThroughChaos:
             assert report.n_txs == 1_500
 
         asyncio.run(scenario())
+
+
+class TestGrantInFlight:
+    """SIGKILL of the *next* lease owner while its ``W_GRANT`` is in
+    flight - the release lands right after the reply of a batch ending
+    on a lease boundary. Either the grant never reached the process
+    (the coordinator parks it and delivers it after the respawn), or
+    the process journaled the grant and died before its reply got out:
+    replay then puts it at the granted cursor, which is the lease holder
+    dying, not a stale checkpoint."""
+
+    @pytest.mark.parametrize("landed", [False, True], ids=["lost", "journaled"])
+    @pytest.mark.parametrize("nth", [1, 2])
+    def test_next_owner_killed_with_grant_in_flight(
+        self, tmp_path, monkeypatch, landed, nth
+    ):
+        # The first hand-off carries no writebacks (lease 0 has no
+        # foreign parents); the second carries partition 1's last run's
+        # writebacks to partition 0 inside the grant.
+        stream = synthetic_stream(1_500, seed=7)
+        golden_partition = build_partition(
+            0, {**SPEC, "n_partitions": 1, "lease_length": LEASE, "checkpoint": None}
+        )
+        golden, _ = golden_partition.place_batch(stream)
+        grants, victims = [], []
+        request = _WorkerHandle.request
+
+        async def grant_then_die(self, kind, payload):
+            hot = None
+            if kind == ch.W_GRANT:
+                share, body = ch.uncarry(payload)
+                hot = json.loads(body).get("hot")
+            if hot is None or victims:
+                return await request(self, kind, payload)
+            grants.append(hot)
+            if len(grants) < nth:
+                return await request(self, kind, payload)
+            victims.append((self.partition_id, hot["n_placed"], bool(share)))
+            if landed:
+                await request(self, kind, payload)
+            self.process.kill()
+            if landed:
+                self.process.wait()
+                raise ChannelClosed("the grant's reply died with the process")
+            return await request(self, kind, payload)
+
+        monkeypatch.setattr(_WorkerHandle, "request", grant_then_die)
+
+        async def scenario():
+            server = ShardedPlacementServer(
+                dict(SPEC),
+                2,
+                port=0,
+                lease_length=LEASE,
+                checkpoint_path=str(tmp_path / "grant.snap"),
+                respawn_backoff=0.05,
+                heartbeat_interval=1.0,
+            )
+            await server.start()
+            try:
+                client = await AsyncBinaryPlacementClient.connect(
+                    port=server.port, retries=40, request_timeout=60.0
+                )
+                served = []
+                for first in range(0, len(stream), 150):
+                    served += await client.place(stream[first : first + 150])
+                ping = await client.ping()
+                await client.close()
+                return served, ping, server.metrics.respawns
+            finally:
+                await server.stop()
+
+        served, ping, respawns = asyncio.run(scenario())
+        assert victims == [(nth % 2, nth * LEASE, nth == 2)]
+        assert respawns >= 1
+        assert ping["degraded"] is None
+        assert served == golden

@@ -387,3 +387,37 @@ class TestParentStateRecords:
         assert result.n_batches == 1
         assert result.writebacks == lost
         assert Writebacks.from_bytes(result.writebacks.to_bytes()) == lost
+
+    def test_every_batch_since_the_grant_is_returned(self, tmp_path, stream):
+        """A holder defers writebacks onto its next message, so it can
+        die with several replied batches undelivered: replay hands back
+        the merge of every batch since the last grant - not the batches
+        of the lease before it, which rode that lease's release."""
+        harness = Harness(2, lease_length=300)
+        harness.place_chunked(stream[:300])  # lease 0, partition 0
+        owner = harness.partitions[0]
+        holder = harness.partitions[1]
+        journal = BatchJournal(str(tmp_path / "p1.wal"), 1, 2, 300)
+        journal.open(holder.n_placed, holder.engine.last_snapshot_nonce or "")
+        holder.journal = journal
+        holder.import_hot_state(owner.export_hot_state())
+        lost = []
+        for first in (300, 380, 460):
+            batch = stream[first : first + 80]
+            states = owner.read_parents(holder.parents_needed(batch))
+            _, writebacks = holder.place_batch(batch, states)
+            owner.apply_writebacks(writebacks)
+            lost.append(writebacks)
+        # An apply from another holder in between leaves the stash alone.
+        journal.append_apply(Writebacks())
+        journal.close()
+        assert all(len(frame) for frame in lost)
+
+        replayer = EnginePartition(
+            PlacementEngine(make_placer("optchain", 4), epoch_length=400),
+            1, 2, 300,
+        )  # fmt: skip
+        result = replay_journal(journal.path, replayer)
+        assert (result.n_grants, result.n_batches) == (1, 3)
+        assert result.writebacks == Writebacks.merge(lost)
+        assert len(result.writebacks) > max(len(frame) for frame in lost)

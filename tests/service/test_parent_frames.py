@@ -311,6 +311,71 @@ class TestInstall:
         assert len(active.engine._remaining) == 1  # its own tx 2
 
 
+@st.composite
+def writeback_runs(draw):
+    """What successive runs of one lease write back: each parent's mask
+    only loses bits (some spill past 62 outputs) and its spender count
+    only grows; once fully spent (mask 0) it is never written again."""
+    txids = draw(st.lists(st.integers(0, 199), min_size=1, max_size=10, unique=True))
+    state = {
+        txid: (draw(st.integers(0, 3)), draw(masks.filter(bool)))
+        for txid in txids
+    }
+    frames = []
+    for _ in range(draw(st.integers(1, 5))):
+        alive = sorted(state)
+        if not alive:
+            break
+        rows = draw(st.lists(st.sampled_from(alive), max_size=len(alive), unique=True))
+        for txid in rows:
+            count, mask = state[txid]
+            state[txid] = (
+                count + draw(st.integers(0, 2)),
+                mask & draw(st.integers(0, 1 << 70)),
+            )
+        written = [(txid, *state[txid]) for txid in rows]
+        state = {txid: row for txid, row in state.items() if row[1]}
+        slots, spill = pack_masks([mask for _, _, mask in written])
+        frames.append(
+            Writebacks(
+                [row[0] for row in written], [row[1] for row in written],
+                slots, spill=spill,
+            )  # fmt: skip
+        )
+    return frames
+
+
+class TestMerge:
+    """A holder's pending writebacks travel merged into one frame; the
+    owner must end up exactly where the frames one by one leave it."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @given(frames=writeback_runs())
+    @settings(max_examples=40, deadline=None)
+    def test_merged_frame_applies_like_the_sequence(self, stream, backend, frames):
+        one_by_one, merged = (partitions(backend, lease=500)[0] for _ in range(2))
+        for owner in (one_by_one, merged):
+            owner.place_batch(stream[:200])
+        for frame in frames:
+            one_by_one.apply_writebacks(Writebacks.from_bytes(frame.to_bytes()))
+        frame = Writebacks.merge(frames)
+        merged.apply_writebacks(Writebacks.from_bytes(frame.to_bytes()))
+        everything = list(range(200))
+        assert (
+            merged.read_parents(everything).to_bytes()
+            == one_by_one.read_parents(everything).to_bytes()
+        )
+        assert merged.stats() == one_by_one.stats()
+        assert sorted(frame.txids.tolist()) == sorted(
+            {txid for part in frames for txid in part.txids.tolist()}
+        )
+
+    def test_single_frame_passes_through(self):
+        frame = Writebacks([3, 1], [1, 2], [5, 0])
+        assert Writebacks.merge([Writebacks(), frame]) is frame
+        assert not Writebacks.merge([])
+
+
 @needs_numpy
 class TestAcrossBackends:
     def test_each_layout_installs_the_others_bytes(self, stream):
