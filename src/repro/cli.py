@@ -394,14 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-point",
         choices=("journal", "place", "writeback", "carry"),
         default="journal",
-        help="batch lifecycle point to die at ('carry' needs --window > 1)",
-    )
-    chaos.add_argument(
-        "--window",
-        type=int,
-        default=1,
-        help="chunks in flight at once (pipelined client; runs queue "
-        "behind each other and writebacks are deferred)",
+        help="batch lifecycle point to die at",
     )
     chaos.add_argument(
         "--torn-wal-bytes",
@@ -1159,7 +1152,6 @@ def _cmd_chaos(args) -> int:
                 kill_after=args.kill_after,
                 kill_point=args.kill_point,
                 torn_wal_bytes=args.torn_wal_bytes,
-                window=args.window,
                 log=lambda message: print(message, flush=True),
             )
         )

@@ -47,9 +47,9 @@ COUNTER_FIELDS = (
     "remote_parent_refs",
     "parent_state_bytes",
     "writeback_bytes",
-    # Standalone W_WRITEBACK flushes: writebacks no W_ACQUIRE or
-    # W_RELEASE carried, because a run ended mid-lease with nothing
-    # queued behind it (or a checkpoint, stats or drain came first).
+    # Standalone W_WRITEBACK flushes: writebacks still pending (not yet
+    # carried by a W_ACQUIRE or W_RELEASE) when the holder answered a
+    # stats, checkpoint or drain request.
     "writeback_round_trips",
 )
 
@@ -172,7 +172,7 @@ _METRIC_COUNTERS = (
     (
         "writeback_round_trips",
         "repro_writeback_round_trips_total",
-        "standalone writeback flushes (runs ending mid-lease, queue empty)",
+        "standalone writeback flushes (before stats, checkpoint or drain)",
     ),
 )
 

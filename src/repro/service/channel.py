@@ -67,10 +67,9 @@ in :mod:`repro.service.partition`; everything little-endian):
   one partition owns every row - with two workers without reading it,
   else after reading the txid column - and splits it otherwise.
   Success is the empty :func:`ack` frame. ``W_WRITEBACK`` is only the
-  flush of writebacks no message would carry soon: the holder sends
-  it before the reply of a run that ends mid-lease with no follower
-  run of the lease queued, and before it answers ``W_CHECKPOINT``,
-  ``W_STATS`` or a drain.
+  flush of writebacks still pending when the holder answers
+  ``W_CHECKPOINT``, ``W_STATS`` or a drain; otherwise they ride its
+  next ``W_ACQUIRE`` or ``W_RELEASE``.
 - ``W_RELEASE`` / ``W_GRANT`` request, after the writebacks section:
   the JSON ``{"hot": ...}`` body (``{}`` for a grant that hands over
   no hot state).

@@ -602,10 +602,8 @@ class ShardedPlacementServer(PlacementServer):
             # the carried writebacks first; an owner with a share and
             # nothing to read is sent it alongside. The read replies
             # are joined in owner order and never parsed here. The
-            # first failure, in that order, is the reply. A lone read
-            # (always, with two workers) is awaited directly: gather
-            # would cost this busy event loop two more turns.
-            calls = [
+            # first failure, in that order, is the reply.
+            replies = await asyncio.gather(
                 *(
                     self._read_owner(owner, read_shares[owner], reads[owner])
                     for owner in owners
@@ -614,11 +612,7 @@ class ShardedPlacementServer(PlacementServer):
                     self._apply_share(owner, share)
                     for owner, share in shares.items()
                 ),
-            ]
-            if len(calls) == 1:
-                replies = [await calls[0]]
-            else:
-                replies = await asyncio.gather(*calls)
+            )
             replies = replies[: len(owners)]
             for reply_kind, section in replies:
                 if reply_kind != ch.STATUS_FRAME:
@@ -680,19 +674,15 @@ class ShardedPlacementServer(PlacementServer):
     def _reads_by_owner(
         self, holder: _WorkerHandle, txids: bytes
     ) -> dict[int, bytes]:
-        """The acquired txid column split by owner. The column is
-        forwarded untouched when one partition owns every txid: always
-        with two workers (a holder never reads its own parents), else
-        when they all fall in one lease."""
-        column = txids_from_bytes(txids)
-        if not column:
+        """The acquired txid column split by owner. With two workers
+        the column is forwarded untouched: a holder never reads its own
+        parents, so the other partition owns every txid."""
+        if not txids:
             return {}
         if self._n_workers == 2:
             return {1 - holder.partition_id: txids}
-        if min(column) // self._lease_length == max(column) // self._lease_length:
-            return {self._owner_of(column[0]): txids}
         by_owner: dict[int, array] = {}
-        for txid in column.tolist():
+        for txid in txids_from_bytes(txids).tolist():
             by_owner.setdefault(self._owner_of(txid), array("q")).append(txid)
         return {owner: txids_to_bytes(owned) for owner, owned in by_owner.items()}
 

@@ -11,16 +11,16 @@ and SIGKILLs the process at a chosen point in the batch lifecycle:
   places the batch - recovery must replay it.
 - ``place``: after the engine placed the batch, before its writebacks
   were delivered - recovery must replay *and* re-deliver writebacks.
-- ``writeback``: after the writeback flush decision (the flush itself,
-  when no message would carry them) - replay is a pure re-execution,
-  re-delivered writebacks that were flushed are idempotent no-ops.
+- ``writeback``: after the batch's writebacks joined the pending ones
+  (they ride the next ``W_ACQUIRE`` or ``W_RELEASE``), before its
+  reply - the same recovery as ``place``.
 - ``carry``: after a run's replies went out while its writebacks are
-  still pending, waiting to ride the next ``W_ACQUIRE`` or
-  ``W_RELEASE`` - the client already holds placements whose effects
+  still pending - the client already holds placements whose effects
   on the owners exist only in the journal, so recovery must re-deliver
   the writebacks of every batch since the grant. Fires at the first
-  such moment at or after the Nth append; it needs a pipelined client
-  (``window`` > 1) so that a follower run is queued behind the run.
+  such moment at or after the Nth append. The scenario pipelines its
+  client for this point, so runs coalesce and queue behind each other
+  when the kill fires.
 
 ``torn_wal_bytes`` additionally truncates the journal tail before
 dying, simulating a host crash between ``write`` and ``fsync``; the
@@ -168,7 +168,6 @@ async def run_chaos_scenario(
     placer_kwargs: "dict[str, Any] | None" = None,
     seed: int = 7,
     chunk_size: int = 250,
-    window: int = 1,
     checkpoint_after_chunks: int = 3,
     kill_partition: int = 0,
     kill_after: int = 2,
@@ -184,10 +183,10 @@ async def run_chaos_scenario(
     in-process engine (the golden), once through a sharded service
     whose ``kill_partition`` worker SIGKILLs itself per the fault plan
     while a retrying client drives the load - and compares every shard
-    assignment. A worker run takes at most two chunks; ``window`` > 1
-    pipelines the load - that many chunks in flight at once, each on
-    its own retrying connection - so runs queue behind each other and
-    writebacks are deferred. Returns a verdict dict (``ok``,
+    assignment. A worker run takes at most two chunks; for the
+    ``carry`` kill point the load is pipelined - four chunks in flight
+    at once, each on its own retrying connection - so runs queue behind
+    each other when the holder dies. Returns a verdict dict (``ok``,
     ``bit_identical``, ``degraded``, ``killed``, ``retries``,
     ``recovery_s``, ``events``); ``ok`` requires that the planned kill
     fired.
@@ -254,6 +253,7 @@ async def run_chaos_scenario(
         faults=plan.to_spec(),
     )
     await server.start()
+    window = 4 if kill_point == "carry" else 1
     emit(
         f"sharded service up: {n_workers} workers, lease "
         f"{lease_length}, kill partition {kill_partition} after "
@@ -294,7 +294,7 @@ async def run_chaos_scenario(
     try:
         clients = []
         try:
-            for slot in range(max(1, window)):
+            for slot in range(window):
                 clients.append(
                     await AsyncBinaryPlacementClient.connect(
                         port=server.port,
@@ -357,6 +357,5 @@ async def run_chaos_scenario(
         "kill_after": kill_after,
         "kill_point": kill_point,
         "torn_wal_bytes": torn_wal_bytes,
-        "window": window,
         "events": events,
     }

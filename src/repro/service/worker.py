@@ -17,15 +17,12 @@ fused placement loop, and checkpoint serialization. Its life cycle:
    :mod:`repro.service.sequencer`, the same code the single-process
    server dispatches through. A run's mutations to foreign parents
    (its writebacks) stay pending and ride the next ``W_ACQUIRE`` or,
-   when the run ends the lease, the ``W_RELEASE`` that follows it, so
-   a run costs at most one coordinator round trip. Only when neither
-   is due - the run ends mid-lease with no follower run of the lease
-   queued - are they flushed in a standalone ``W_WRITEBACK`` before
-   the run's reply, as they are before this worker answers
-   ``W_CHECKPOINT``, ``W_STATS`` or a drain: nothing observable waits
-   on a message that may never come. A holder that dies with
-   writebacks pending is healed from its journal
-   (:mod:`repro.service.journal`);
+   when the lease ends, the ``W_RELEASE``, so a run costs at most one
+   coordinator round trip. No other worker reads an owner until then.
+   What can observe an owner between runs - this worker's answer to
+   ``W_CHECKPOINT``, ``W_STATS`` or a drain - first flushes them in a
+   standalone ``W_WRITEBACK``. A holder that dies with writebacks
+   pending is healed from its journal (:mod:`repro.service.journal`);
 4. on reaching its lease end, export the hot state and ``W_RELEASE``
    the lease; the coordinator grants the next owner.
 
@@ -382,10 +379,6 @@ class PlacementWorker:
                 return
             group = sequencer.take_run()
             if group is None:
-                if self._writebacks:
-                    # Left by a run whose follower was then rejected.
-                    async with self._engine_lock:
-                        await self._flush_writebacks()
                 return
             async with self._engine_lock:
                 await sequencer.place_run(
@@ -430,17 +423,6 @@ class PlacementWorker:
             self.metrics.writeback_round_trips += 1
             await self._ask_coordinator(ch.W_WRITEBACK, payload)
 
-    def _carrier_due(self) -> bool:
-        """Will a message this worker sends next carry the pending
-        writebacks: the ``W_RELEASE`` (the run reached its lease end),
-        or the next run's ``W_ACQUIRE`` (a follower run of this lease
-        is queued at the cursor)?"""
-        cursor = self._partition.n_placed
-        return (
-            cursor % self._partition.lease_length == 0
-            or cursor in self._sequencer.pending
-        )
-
     async def _place_with_remotes(self, batch: WireBatch) -> list[int]:
         """One batch through acquire -> place (the sequencer times it
         round trips included: the latency a client's batch actually
@@ -478,8 +460,6 @@ class PlacementWorker:
             self.faults.maybe_kill("place")
         if writebacks:
             self._writebacks.append(writebacks)
-        if not self._carrier_due():
-            await self._flush_writebacks()
         if self.faults is not None:
             self.faults.maybe_kill("writeback")
         return shards

@@ -2,13 +2,12 @@
 per run.
 
 A lease holder keeps a run's writebacks pending and sends them inside
-its next ``W_ACQUIRE``, or in the ``W_RELEASE`` when the run ends the
-lease; a standalone ``W_WRITEBACK`` flush happens only when a run ends
-mid-lease with no follower run of the lease queued. Two pins on the
-exact ``writeback_round_trips`` counter: a pipelined in-process harness
-(the real coordinator and worker code over loopback channels) where
-followers are always queued, and the real process tree with one
-request in flight, where every mid-lease run with writebacks flushes.
+its next ``W_ACQUIRE``, or in the ``W_RELEASE`` at the lease end; a
+standalone ``W_WRITEBACK`` flush happens only before it answers
+``W_STATS``, ``W_CHECKPOINT`` or a drain. Two pins on the exact
+``writeback_round_trips`` counter: a pipelined in-process harness (the
+real coordinator and worker code over loopback channels), and the real
+process tree with one request in flight. Neither flushes while placing.
 """
 
 from __future__ import annotations
@@ -127,42 +126,54 @@ class TestPipelinedHarness:
         assert sum(m.writeback_bytes for m in metrics) == sum(carried)
 
 
-def test_one_request_in_flight_flushes_every_mid_lease_run(stream, golden):
-    """No follower is ever queued: each run that read (and so spent) a
-    foreign parent flushes its writebacks before its reply - one
-    standalone round trip, what every run paid before writebacks were
-    carried - unless it ends its lease and the release carries them.
-    The counter merges through W_STATS onto /metrics."""
+def test_one_request_in_flight_never_flushes_while_placing(stream, golden):
+    """No follower is ever queued, yet no run flushes: each run that
+    read (and so spent) a foreign parent hands its writebacks to the
+    next run's acquire or to the release. A stats request flushes what
+    is still pending - here the writebacks of a run that ended
+    mid-lease - and the counter merges through W_STATS onto /metrics."""
 
     async def main():
         server = ShardedPlacementServer(dict(SPEC), 2, port=0, lease_length=600)
         await server.start()
         try:
             client = await AsyncBinaryPlacementClient.connect(port=server.port)
-            served = []
-            for first in range(0, 2_000, 250):
-                served += await client.place(stream[first : first + 250])
-            metrics = (await client.request({"op": "stats"}))["obs"]["metrics"]
+            served, metrics = [], []
+            for end in (1_800, 2_000):
+                for first in range(len(served), end, 250):
+                    served += await client.place(
+                        stream[first : min(first + 250, end)]
+                    )
+                stats = await client.request({"op": "stats"})
+                metrics.append(stats["obs"]["metrics"])
             text = await server._render_metrics()
             await client.close()
         finally:
             await server.stop()
         return served, metrics, text
 
-    served, metrics, text = asyncio.run(main())
+    served, (at_lease_end, mid_lease), text = asyncio.run(main())
     assert served == golden[:2_000]
-    runs_with_writebacks = flushed = 0
-    cuts = sorted({*range(0, 2_001, 250), 600, 1_200, 1_800})
-    for first, end in zip(cuts, cuts[1:]):
-        wrote_back = any(
+
+    def wrote_back(first, end):
+        return any(
             outpoint.txid < first
             and outpoint.txid // 600 % 2 != first // 600 % 2
             for tx in stream[first:end]
             for outpoint in tx.inputs
         )
-        runs_with_writebacks += wrote_back
-        flushed += wrote_back and end % 600 != 0
-    assert 0 < flushed < runs_with_writebacks
-    assert metrics["writeback_round_trips"] == flushed
-    assert metrics["acquire_round_trips"] == runs_with_writebacks
-    assert "repro_writeback_round_trips_total" in text
+
+    cuts = sorted({*range(0, 1_801, 250), 600, 1_200, 1_800, 2_000})
+    runs_with_writebacks = sum(
+        wrote_back(first, end) for first, end in zip(cuts, cuts[1:])
+    )
+    assert at_lease_end["acquire_round_trips"] == runs_with_writebacks - 1
+    assert at_lease_end["writeback_round_trips"] == 0
+    # The run 1,800-2,000 ends mid-lease; its writebacks were pending
+    # until the stats request flushed them in one round trip.
+    assert wrote_back(1_800, 2_000)
+    assert mid_lease["acquire_round_trips"] == runs_with_writebacks
+    assert mid_lease["writeback_round_trips"] == 1
+    # Partition 1 holds the lease from 1,800.
+    assert 'repro_writeback_round_trips_total{partition="0"} 0\n' in text
+    assert 'repro_writeback_round_trips_total{partition="1"} 1\n' in text

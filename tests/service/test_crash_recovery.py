@@ -77,9 +77,10 @@ class TestKillMidBatch:
 
     @pytest.mark.parametrize("backend", ["python", "numpy"])
     def test_kill_with_writebacks_carried(self, tmp_path, backend):
-        # Four chunks in flight: runs queue behind each other, so the
-        # holder replies before its writebacks leave the process. It
-        # dies right there; only its journal still knows them.
+        # The holder replies before its writebacks leave the process
+        # (the scenario pipelines four chunks, so runs queue behind
+        # each other). It dies right there; only its journal still
+        # knows them.
         if backend == "numpy" and not backend_available("numpy"):
             pytest.skip("numpy backend absent")
         verdict = chaos(
@@ -88,7 +89,6 @@ class TestKillMidBatch:
             lease_length=600,
             chunk_size=250,
             kill_point="carry",
-            window=4,
             strategy=f"optchain:backend={backend}",
         )
         assert verdict["killed"] and verdict["ok"], verdict
