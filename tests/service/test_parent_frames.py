@@ -317,8 +317,11 @@ def writeback_runs(draw):
     only loses bits (some spill past 62 outputs) and its spender count
     only grows; once fully spent (mask 0) it is never written again."""
     txids = draw(st.lists(st.integers(0, 199), min_size=1, max_size=10, unique=True))
+    live_masks = st.one_of(
+        st.integers(1, (1 << 62) - 1), st.integers(1 << 62, 1 << 70)
+    )
     state = {
-        txid: (draw(st.integers(0, 3)), draw(masks.filter(bool)))
+        txid: (draw(st.integers(0, 3)), draw(live_masks))
         for txid in txids
     }
     frames = []
