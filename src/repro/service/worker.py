@@ -24,8 +24,7 @@ fused placement loop, and checkpoint serialization. Its life cycle:
    standalone ``W_WRITEBACK``. A holder that dies with writebacks
    pending is healed from its journal (:mod:`repro.service.journal`);
 4. on reaching its lease end, export the hot state and ``W_RELEASE``
-   the lease, before the last run's replies go out; the coordinator
-   grants the next owner.
+   the lease; the coordinator grants the next owner.
 
 The coordinator (:mod:`repro.service.coordinator`) starts each worker
 as a plain subprocess, ``python -m repro.service.worker``, and writes
@@ -385,10 +384,6 @@ class PlacementWorker:
                 await sequencer.place_run(
                     group, self._place_with_remotes
                 )
-            # A run that ends the lease releases it before the run's
-            # replies go out: the next owner's grant is what the
-            # stream waits on.
-            await self._maybe_release_lease()
             await asyncio.sleep(0)
             if self.faults is not None and self._writebacks:
                 # The run's replies went out during the yield above;
