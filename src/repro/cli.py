@@ -46,6 +46,8 @@ _EXPERIMENTS = (
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument grammar."""
+    from repro.service.faults import KILL_POINTS
+
     parser = argparse.ArgumentParser(
         prog="optchain",
         description="OptChain (ICDCS 2019) reproduction toolkit",
@@ -392,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--kill-point",
-        choices=("journal", "place", "writeback", "carry"),
+        choices=KILL_POINTS,
         default="journal",
         help="batch lifecycle point to die at",
     )

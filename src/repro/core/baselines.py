@@ -306,22 +306,13 @@ class _CappedPlacer(PlacementStrategy):
             return min(tied, key=self._shard_sizes.__getitem__)
         return tied[self._rng.randrange(len(tied))]
 
-    # -- snapshot/restore --------------------------------------------------
+    # -- state export ------------------------------------------------------
 
     def export_state(self) -> dict[str, Any]:
         state = super().export_state()
         # getstate() is (version, (625 uint32 words...), gauss_next).
         state["rng_state"] = self._rng.getstate()
         return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        version, internal, gauss = state["rng_state"]
-        self._rng.setstate((version, tuple(internal), gauss))
-        # The allowed set is a pure function of sizes + cap (Fenwick
-        # sums commute, so rebuild order cannot perturb it) - derived,
-        # not serialized.
-        self._rebuild_allowed()
 
 
 class GreedyPlacer(_CappedPlacer):
@@ -403,10 +394,6 @@ class T2SOnlyPlacer(_CappedPlacer):
         state = super().export_state()
         state["scorer"] = self.scorer.export_state()
         return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self.scorer.restore_state(state["scorer"])
 
 
 class TopKT2SOnlyPlacer(T2SOnlyPlacer):

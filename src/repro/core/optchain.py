@@ -962,42 +962,16 @@ class OptChainPlacer(PlacementStrategy):
         if self._proxy is not None:
             self._proxy.record(shard)
 
-    # -- snapshot/restore --------------------------------------------------
+    # -- state export ------------------------------------------------------
 
     def export_state(self) -> dict[str, Any]:
-        """Strategy + scorer + proxy state (see service.state).
-
-        Only the self-contained configurations are snapshotable: the
-        offline load proxy or no provider at all. A live latency
-        observer (the simulator's) reads external queues that no
-        placement snapshot could restore.
-        """
-        if self._proxy is None and self.latency_provider is not None:
-            raise PlacementError(
-                "only the offline load proxy or no latency provider "
-                "can be snapshotted; live observers hold external state"
-            )
+        """Strategy + scorer + proxy state (a live latency observer's
+        external queues are not part of it)."""
         state = super().export_state()
         state["scorer"] = self.scorer.export_state()
         if self._proxy is not None:
             state["proxy"] = self._proxy.export_state()
         return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self.scorer.restore_state(state["scorer"])
-        if self._proxy is not None:
-            if "proxy" not in state:
-                raise PlacementError(
-                    "snapshot was taken without a load proxy but this "
-                    "placer has one"
-                )
-            self._proxy.restore_state(state["proxy"])
-        elif "proxy" in state:
-            raise PlacementError(
-                "snapshot carries load-proxy state but this placer "
-                "has no proxy"
-            )
 
     # -- decision paths ----------------------------------------------------
 

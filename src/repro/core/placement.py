@@ -225,16 +225,17 @@ class PlacementStrategy(ABC):
             self._size_argmin = LazyArgmin(self._shard_sizes)
         return self._size_argmin
 
-    # -- snapshot/restore ----------------------------------------------------
+    # -- state export --------------------------------------------------------
 
     def export_state(self) -> dict[str, Any]:
         """Plain-data dump of the mutable placement state.
 
         Together with the constructor arguments this is everything a
-        fresh instance needs to continue the stream *bit-identically*
-        (see :mod:`repro.service.state` for the on-disk format and the
-        golden restore-then-continue test). Lazy heap contents are
-        exported verbatim: heap layout decides the traversal order of
+        fresh instance needs to continue the stream *bit-identically*,
+        which makes it the equality oracle of the backend differential
+        tests; snapshots write the same fields directly
+        (:mod:`repro.service.state`). Lazy heap contents are exported
+        verbatim: heap layout decides the traversal order of
         tie-handling queries, so "semantically equal" rebuilt heaps are
         not enough for the bit-identical contract.
         """
@@ -250,32 +251,6 @@ class PlacementStrategy(ABC):
                 (value, index) for value, index in self._size_argmin._heap
             ]
         return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Load a dump produced by :meth:`export_state`.
-
-        Must be called on an instance constructed with the same
-        parameters the exporting instance was. Backing lists are
-        mutated in place so long-lived references (lazy argmin heaps)
-        stay attached.
-        """
-        sizes = state["shard_sizes"]
-        if len(sizes) != self.n_shards:
-            raise PlacementError(
-                f"snapshot has {len(sizes)} shards, placer has "
-                f"{self.n_shards}"
-            )
-        self._assignment[:] = state["assignment"]
-        self._shard_sizes[:] = sizes
-        self._min_shard_size = state["min_shard_size"]
-        self._min_size_count = state["min_size_count"]
-        self._max_shard_size = state["max_shard_size"]
-        heap = state.get("size_argmin_heap")
-        if heap is not None:
-            argmin = self.size_argmin()
-            argmin._heap[:] = [(value, index) for value, index in heap]
-        elif self._size_argmin is not None:
-            self._size_argmin.rebuild()
 
 
 def make_placer(

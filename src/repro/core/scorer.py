@@ -58,9 +58,13 @@ class PlacementScorer(ABC):
     ``add_transaction``) is called once per arriving transaction in
     dense txid order, followed by exactly one ``place``. The rest of
     the interface is bookkeeping the serving layer depends on: vector
-    release for the epoch/truncation policy, plain-data
-    ``export_state``/``restore_state`` for bit-identical snapshots, and
-    ``support_stats`` for saturation observability.
+    release for the epoch/truncation policy, a plain-data
+    ``export_state`` (the equality oracle of the backend differential
+    tests), and ``support_stats`` for saturation observability.
+    Snapshots do not go through this interface:
+    :mod:`repro.service.state` writes and restores the exact-scorer
+    state layout (see the module docstring) plus
+    ``export_hot_scalars`` / ``import_hot_scalars``.
     """
 
     __slots__ = ()
@@ -134,11 +138,8 @@ class PlacementScorer(ABC):
 
     @abstractmethod
     def export_state(self) -> dict[str, Any]:
-        """Plain-data dump of all mutable state (see service.state)."""
-
-    @abstractmethod
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Load a dump produced by :meth:`export_state` (same config)."""
+        """Plain-data dump of all mutable state: what the backend
+        differential tests compare."""
 
     @abstractmethod
     def support_stats(self) -> dict[str, Any]:

@@ -482,26 +482,6 @@ class T2SScorer(PlacementScorer):
             state["output_count"] = list(self._output_count)
         return state
 
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Load a dump produced by :meth:`export_state` (same config)."""
-        sizes = state["shard_sizes"]
-        if len(sizes) != self.n_shards:
-            raise PlacementError(
-                f"snapshot has {len(sizes)} shards, scorer has "
-                f"{self.n_shards}"
-            )
-        self._p_prime[:] = [
-            None if vector is None else dict(vector)
-            for vector in state["p_prime"]
-        ]
-        self._spender_count[:] = state["spender_count"]
-        self._min_mass[:] = state["min_mass"]
-        self._shard_sizes[:] = sizes
-        self._released = state["released"]
-        if not self._spenders_divisor:
-            self._output_count[:] = state["output_count"]
-        self._pending = None
-
 
 class TopKT2SScorer(T2SScorer):
     """Bounded-support T2S scoring (the ``"topk"`` scorer kind).
@@ -609,11 +589,6 @@ class TopKT2SScorer(T2SScorer):
         state["dropped_mass"] = self._dropped_mass
         state["truncated_vectors"] = self._truncated_vectors
         return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self._dropped_mass = state.get("dropped_mass", 0.0)
-        self._truncated_vectors = state.get("truncated_vectors", 0)
 
 
 #: Adaptive-cap defaults: start at 4 retained entries (the cheapest
@@ -763,14 +738,6 @@ class AdaptiveTopKT2SScorer(TopKT2SScorer):
             }
         )
         return state
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        super().restore_state(state)
-        self.support_cap = state["support_cap"]
-        self._cap_growths = state["cap_growths"]
-        self._window_count = state["window_count"]
-        self._window_mass = state["window_mass"]
-        self._window_dropped = state["window_dropped"]
 
 
 def make_support_scorer(

@@ -133,7 +133,6 @@ class PlacementEngine:
         epoch_length: int = 25_000,
         horizon_epochs: int | None = None,
         truncate_spent: bool = True,
-        _preplaced_ok: bool = False,
     ) -> None:
         if epoch_length < 1:
             raise ConfigurationError(
@@ -144,7 +143,7 @@ class PlacementEngine:
                 f"horizon_epochs must be >= 1 (or None), got "
                 f"{horizon_epochs}"
             )
-        if placer.n_placed and not _preplaced_ok:
+        if placer.n_placed:
             raise ConfigurationError(
                 "PlacementEngine needs a fresh placer: it must observe "
                 "every placement to track spendable outputs (restore a "
@@ -448,11 +447,14 @@ class PlacementEngine:
         stream (see :func:`repro.service.state.save_engine_snapshot`);
         restore auto-detects either form.
 
-        ``delta`` writes ``<path>.delta`` instead: only the arrays
-        appended and the pre-base parents touched since the last *full*
-        snapshot at ``path`` (format v3) - O(activity since base), not
-        O(n_placed). Requires that full snapshot to have been written
-        by this engine **with** ``track_delta=True`` (the dirty-parent
+        A full snapshot is the state since cursor 0; ``delta`` writes
+        ``<path>.delta`` instead, the same layout against the cursor of
+        the last *full* snapshot at ``path`` (format v3): the arrays
+        appended and the pre-base parents touched since, so its cost is
+        O(activity since base), not O(n_placed). The two share one
+        writer and one reader (:mod:`repro.service.state`). A delta
+        requires that full snapshot to have been written by this
+        engine **with** ``track_delta=True`` (the dirty-parent
         journal is opt-in: a set update per batch plus memory for the
         touched-parent ids between full saves, pointless overhead for
         engines that only ever snapshot fully); once enabled, tracking
@@ -483,8 +485,6 @@ class PlacementEngine:
 
         return load_engine_snapshot(path)
 
-    # -- snapshot plumbing (plain-data state, serialized by state.py) ------
-
     def export_config(self) -> dict[str, Any]:
         """Constructor arguments (placer excluded)."""
         return {
@@ -492,29 +492,6 @@ class PlacementEngine:
             "horizon_epochs": self._horizon_epochs,
             "truncate_spent": self._truncate_spent,
         }
-
-    def export_state(self) -> dict[str, Any]:
-        """Mutable engine bookkeeping as plain data."""
-        return {
-            "remaining": dict(self._remaining.items()),
-            "pending_release": list(self._pending_release),
-            "horizon_start": self._horizon_start,
-            "epoch": self._epoch,
-            "peak_live": self._peak_live,
-        }
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        """Load a dump produced by :meth:`export_state` (same config)."""
-        if self._validator is not None:
-            from repro.core.backends.arrays import MaskMap
-
-            self._remaining = MaskMap(state["remaining"])
-        else:
-            self._remaining = dict(state["remaining"])
-        self._pending_release = list(state["pending_release"])
-        self._horizon_start = state["horizon_start"]
-        self._epoch = state["epoch"]
-        self._peak_live = state["peak_live"]
 
     # -- internals ---------------------------------------------------------
 

@@ -16,13 +16,32 @@ future placement is captured exactly:
 - the engine's truncation bookkeeping (unspent-output counts, pending
   releases, horizon cursor).
 
-On-disk layout (version 2)::
+**One layout: a full snapshot is the delta against cursor 0.** Every
+file holds the state *since a base cursor*: the tail of each per-txid
+array from the base on (assignment, T2S vectors, spender counts,
+min-mass bounds, output counts, unspent masks), the pre-base parents
+the stream touched since the base (final spender count and unspent
+mask; the engine journals them off the spend journal), and the
+O(n_shards) hot state (shard sizes and trackers, argmin heap, proxy,
+RNG, scorer scalars, pending releases). A full snapshot at ``<path>``
+is that file at base 0, with no touched parents. A delta
+``<path>.delta`` is the same against the last full save's cursor, so
+its cost is the activity since the base instead of O(n_placed); each
+delta save replaces the previous one, and a full save compacts and
+deletes it. A random ``snapshot_nonce`` that the delta header must
+echo enforces the pairing. One writer (:func:`_write_state`) produces
+both files and one applier (:func:`_apply_state`) advances an engine
+at the base cursor to a file's cursor, so loading is: a fresh engine
+from the header's recipe, the full file at base 0, then a valid
+sibling delta at its base.
+
+Container::
 
     8 bytes   magic  b"OCSNAP" + version u16 (little-endian)
     4 bytes   header length u32 (little-endian)
     N bytes   header JSON (configs, scalars, section table)
     ...       array-section payload, concatenated in table order
-              (optionally one zlib stream - see below)
+              (optionally one zlib stream)
 
 Numeric bulk state lives in typed array sections (``array`` module
 native layout: 4-byte ids/counts, 8-byte doubles/sizes), which is what
@@ -33,28 +52,11 @@ stored as raw IEEE-754 bytes, so floats round-trip exactly (including
 and refuses to load a foreign one: checkpoints are a service-restart
 mechanism, not an interchange format.
 
-Version history:
+Formats (full files write 2, deltas 3; all three load):
 
-- **1** (PR 3): the layout above, uncompressed, exact scorer only.
-- **2** (PR 4): the section payload may be one zlib stream (header
-  keys ``compression``/``payload_bytes``; ``repro serve
-  --checkpoint-compress``), and the scorer section carries a
-  ``t2s_scalars`` header dict for bounded-support scorers (kind,
-  dropped-mass total, truncated-vector count) plus the
-  ``optchain-topk`` placer spec. Version-1 files remain readable -
-  both additions are strictly optional header keys.
-- **3** (PR 5): *delta* snapshots. A full snapshot at ``<path>`` plus
-  a cumulative ``<path>.delta`` holding only (a) the per-txid arrays
-  appended since the base, (b) the pre-base parents the stream touched
-  since (spender counts and unspent masks - the engine tracks them for
-  free off the spend journal), and (c) the O(n_shards) hot scalars.
-  This bounds checkpoint cost by *activity since the base* instead of
-  O(n_placed). Each delta save replaces the previous (cumulative since
-  base); a full save compacts and deletes the delta. The pairing is
-  enforced by a random ``snapshot_nonce`` the delta header must echo.
-  :func:`load_engine_snapshot` applies a valid sibling delta
-  automatically. Full snapshots still write format 2 - v3 is the delta
-  file's format, and v1/v2 files remain readable.
+- **1**: uncompressed, exact scorer only.
+- **2**: full file; optional zlib payload and ``t2s_scalars``.
+- **3**: delta file; ``assignment_tail``, ``dirty_*`` and ``base``.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from repro.core.optchain import (
     TopKOptChainPlacer,
 )
 from repro.core.placement import PlacementStrategy
-from repro.errors import CorruptCheckpointError, SnapshotError
+from repro.errors import CorruptCheckpointError, PlacementError, SnapshotError
 from repro.service.engine import PlacementEngine
 
 MAGIC = b"OCSNAP"
@@ -99,15 +101,35 @@ SUPPORTED_VERSIONS = (1, 2, 3)
 #: raw doubles.
 _ALLOWED_TYPECODES = ("i", "q", "d", "I", "B")
 
-#: Keys of a scorer dump that are per-txid arrays (serialized as
-#: sections); everything else is a header scalar.
-_SCORER_ARRAY_KEYS = (
-    "p_prime",
-    "spender_count",
-    "min_mass",
-    "shard_sizes",
-    "released",
-    "output_count",
+#: Strategies :func:`_placer_spec` records a constructor recipe for.
+_SNAPSHOTABLE = (
+    "optchain",
+    "optchain-topk",
+    "t2s",
+    "t2s-topk",
+    "greedy",
+    "omniledger",
+)
+
+#: Header keys of every snapshot file, with the JSON type each holds.
+_REQUIRED_KEYS = {
+    "placer": dict,
+    "engine_config": dict,
+    "n_placed": int,
+    "sections": list,
+    "placer_scalars": dict,
+    "engine_scalars": dict,
+    "has_scorer": bool,
+    "has_proxy_state": bool,
+    "has_rng": bool,
+}
+
+#: Header keys a file carries when the flag before them is set.
+_FLAGGED_KEYS = (
+    ("delta", "base", dict),
+    ("has_scorer", "t2s_released", int),
+    ("has_proxy_state", "proxy_scalars", dict),
+    ("has_rng", "rng_scalars", dict),
 )
 
 
@@ -182,6 +204,18 @@ def _support_spec(scorer) -> dict[str, Any]:
 def _placer_spec(placer: PlacementStrategy) -> dict[str, Any]:
     """Constructor recipe for the supported strategies."""
     name = type(placer).name
+    # Only the self-contained configurations are snapshotable: the
+    # offline load proxy or no provider at all. A live latency observer
+    # (the simulator's) reads external queues no snapshot could restore.
+    if (
+        isinstance(placer, OptChainPlacer)
+        and placer._proxy is None
+        and placer.latency_provider is not None
+    ):
+        raise PlacementError(
+            "only the offline load proxy or no latency provider "
+            "can be snapshotted; live observers hold external state"
+        )
     if (
         isinstance(placer, TopKOptChainPlacer)
         and name == "optchain-topk"
@@ -252,9 +286,8 @@ def _placer_spec(placer: PlacementStrategy) -> dict[str, Any]:
         return {"strategy": "omniledger", "n_shards": placer.n_shards}
     raise SnapshotError(
         f"strategy {name or type(placer).__name__!r} is not snapshotable "
-        "(supported: optchain, optchain-topk, t2s, t2s-topk, greedy, "
-        "omniledger; custom scorer injections have no reconstruction "
-        "recipe)"
+        f"(supported: {', '.join(_SNAPSHOTABLE)}; custom scorer "
+        "injections have no reconstruction recipe)"
     )
 
 
@@ -290,105 +323,101 @@ def _snapshot_backend(spec: dict[str, Any]) -> str:
 
 
 def _build_placer(spec: dict[str, Any]) -> PlacementStrategy:
-    strategy = spec.get("strategy")
-    n_shards = spec["n_shards"]
-    if strategy == "optchain":
-        cls = OptChainPlacer
-        if _snapshot_backend(spec) == "numpy":
-            from repro.core.backends.numpy_backend import (
-                NumpyOptChainPlacer,
-            )
+    """A fresh placer from the recipe :func:`_placer_spec` recorded."""
+    from repro.core.spec import StrategySpec
 
-            cls = NumpyOptChainPlacer
-        return cls(
-            n_shards,
-            alpha=spec["alpha"],
-            latency_weight=spec["latency_weight"],
-            latency_provider=(
-                USE_LOAD_PROXY if spec["has_proxy"] else None
-            ),
-            l2s_mode=spec["l2s_mode"],
-            outdeg_mode=spec["outdeg_mode"],
+    kwargs = dict(spec)
+    strategy = kwargs.pop("strategy", None)
+    n_shards = kwargs.pop("n_shards")
+    kwargs.pop("backend", None)
+    if strategy not in _SNAPSHOTABLE:
+        raise SnapshotError(f"snapshot names unknown strategy {strategy!r}")
+    if "has_proxy" in kwargs:
+        kwargs["latency_provider"] = (
+            USE_LOAD_PROXY if kwargs.pop("has_proxy") else None
         )
-    if strategy == "optchain-topk":
-        cls = TopKOptChainPlacer
-        if _snapshot_backend(spec) == "numpy":
-            from repro.core.backends.numpy_backend import (
-                NumpyTopKOptChainPlacer,
-            )
-
-            cls = NumpyTopKOptChainPlacer
-        return cls(
-            n_shards,
-            support_cap=spec["support_cap"],
-            alpha=spec["alpha"],
-            latency_weight=spec["latency_weight"],
-            latency_provider=(
-                USE_LOAD_PROXY if spec["has_proxy"] else None
-            ),
-            l2s_mode=spec["l2s_mode"],
-            outdeg_mode=spec["outdeg_mode"],
-            support_initial_cap=spec.get("support_initial_cap"),
-            support_window=spec.get("support_window"),
-        )
-    if strategy == "t2s-topk":
-        return TopKT2SOnlyPlacer(
-            n_shards,
-            support_cap=spec["support_cap"],
-            epsilon=spec["epsilon"],
-            expected_total=spec["expected_total"],
-            tie_break=spec["tie_break"],
-            alpha=spec["alpha"],
-            outdeg_mode=spec["outdeg_mode"],
-            support_initial_cap=spec.get("support_initial_cap"),
-            support_window=spec.get("support_window"),
-        )
-    if strategy == "t2s":
-        return T2SOnlyPlacer(
-            n_shards,
-            epsilon=spec["epsilon"],
-            expected_total=spec["expected_total"],
-            tie_break=spec["tie_break"],
-            alpha=spec["alpha"],
-            outdeg_mode=spec["outdeg_mode"],
-        )
-    if strategy == "greedy":
-        return GreedyPlacer(
-            n_shards,
-            epsilon=spec["epsilon"],
-            expected_total=spec["expected_total"],
-            tie_break=spec["tie_break"],
-        )
-    if strategy == "omniledger":
-        return OmniLedgerRandomPlacer(n_shards)
-    raise SnapshotError(f"snapshot names unknown strategy {strategy!r}")
+    backend = _snapshot_backend(spec)
+    return StrategySpec(strategy, backend=backend).build(n_shards, **kwargs)
 
 
 # -- state <-> sections ----------------------------------------------------
 
 
-def _write_placer_state(
-    writer: _SectionWriter, state: dict[str, Any], header: dict[str, Any]
-) -> None:
-    writer.add("assignment", "i", state["assignment"])
-    writer.add("shard_sizes", "q", state["shard_sizes"])
+def _add_masks(writer: _SectionWriter, prefix: str, masks) -> None:
+    """Unspent-output bitmasks, one bit per output, as length-prefixed
+    big-endian byte strings (batch payouts can exceed 63 outputs)."""
+    blobs = [
+        mask.to_bytes((mask.bit_length() + 7) // 8, "big") for mask in masks
+    ]
+    writer.add(f"{prefix}_nbytes", "i", map(len, blobs))
+    writer.add(f"{prefix}_masks", "B", b"".join(blobs))
+
+
+def _read_masks(reader: _SectionReader, prefix: str) -> list[int]:
+    blob = reader.get(f"{prefix}_masks").tobytes()
+    masks = []
+    cursor = 0
+    for nbytes in reader.get(f"{prefix}_nbytes"):
+        masks.append(int.from_bytes(blob[cursor : cursor + nbytes], "big"))
+        cursor += nbytes
+    if cursor != len(blob):
+        raise SnapshotError(
+            f"{prefix}_nbytes does not account for every mask byte"
+        )
+    return masks
+
+
+def _write_state(
+    engine: PlacementEngine,
+    path: Path,
+    header: dict[str, Any],
+    base_n: int,
+    dirty: "set[int] | None",
+    compress: bool,
+) -> int:
+    """Write the engine's state since cursor ``base_n``; returns bytes.
+
+    ``header`` brings the file's own keys (``format`` plus the nonce or
+    the delta base). ``dirty`` holds the pre-base parents touched since
+    the base, ``None`` for a full file (base 0).
+    """
+    placer = engine.placer
+    scorer = engine._scorer
+    if scorer is not None and scorer._pending is not None:
+        raise PlacementError(
+            f"cannot snapshot with transaction {scorer._pending} "
+            "pending placement"
+        )
+    header.update(
+        byteorder=sys.byteorder,
+        repro_version=__version__,
+        placer=_placer_spec(placer),
+        engine_config=engine.export_config(),
+        n_placed=placer.n_placed,
+    )
+    writer = _SectionWriter()
+    writer.add(
+        "assignment" if dirty is None else "assignment_tail",
+        "i",
+        placer._assignment[base_n:],
+    )
+    writer.add("shard_sizes", "q", placer._shard_sizes)
     header["placer_scalars"] = {
-        "min_shard_size": state["min_shard_size"],
-        "min_size_count": state["min_size_count"],
-        "max_shard_size": state["max_shard_size"],
+        "min_shard_size": placer._min_shard_size,
+        "min_size_count": placer._min_size_count,
+        "max_shard_size": placer._max_shard_size,
     }
-    heap = state.get("size_argmin_heap")
-    if heap is not None:
+    if placer._size_argmin is not None:
+        heap = placer._size_argmin._heap
         writer.add("argmin_value", "q", (value for value, _ in heap))
         writer.add("argmin_index", "i", (index for _, index in heap))
 
-    scorer = state.get("scorer")
     header["has_scorer"] = scorer is not None
     if scorer is not None:
         nnz = array("i")
         shards = array("i")
         mass = array("d")
-        for vector in scorer["p_prime"]:
+        for vector in scorer._p_prime[base_n:]:
             if vector is None:
                 nnz.append(-1)
             else:
@@ -399,121 +428,254 @@ def _write_placer_state(
         writer.add("t2s_nnz", "i", nnz)
         writer.add("t2s_shards", "i", shards)
         writer.add("t2s_mass", "d", mass)
-        writer.add("t2s_spenders", "i", scorer["spender_count"])
-        writer.add("t2s_min_mass", "d", scorer["min_mass"])
-        writer.add("t2s_shard_sizes", "q", scorer["shard_sizes"])
-        header["t2s_released"] = scorer["released"]
-        if "output_count" in scorer:
-            writer.add("t2s_outputs", "i", scorer["output_count"])
-        # Bounded-support/adaptive scorers carry scalar accounting
-        # (format v2+): everything in the scorer dump that is not a
-        # per-txid array travels in the header. JSON float repr
-        # round-trips doubles exactly, so e.g. the dropped-mass total
-        # restores bit-identically.
-        scalars = {
-            key: value
-            for key, value in scorer.items()
-            if key not in _SCORER_ARRAY_KEYS
-        }
+        writer.add("t2s_spenders", "i", scorer._spender_count[base_n:])
+        writer.add("t2s_min_mass", "d", scorer._min_mass[base_n:])
+        writer.add("t2s_shard_sizes", "q", scorer._shard_sizes)
+        header["t2s_released"] = scorer.released_count
+        if not scorer._spenders_divisor:
+            writer.add("t2s_outputs", "i", scorer._output_count[base_n:])
+        # Bounded-support/adaptive scorers carry scalar accounting.
+        # JSON float repr round-trips doubles exactly, so e.g. the
+        # dropped-mass total restores bit-identically.
+        scalars = scorer.export_hot_scalars()
         if scalars:
             header["t2s_scalars"] = scalars
 
-    proxy = state.get("proxy")
+    remaining = engine._remaining
+    if dirty is not None:
+        # Final spender count and unspent mask (0 = fully spent or
+        # horizon-dropped) of every pre-base parent touched since.
+        touched = sorted(txid for txid in dirty if txid < base_n)
+        writer.add("dirty_txid", "q", touched)
+        if scorer is not None:
+            writer.add(
+                "dirty_spenders",
+                "i",
+                (scorer._spender_count[txid] for txid in touched),
+            )
+        _add_masks(
+            writer, "dirty", (remaining.get(txid, 0) for txid in touched)
+        )
+    tail = [(txid, mask) for txid, mask in remaining.items() if txid >= base_n]
+    writer.add("remaining_txid", "q", (txid for txid, _ in tail))
+    _add_masks(writer, "remaining", (mask for _, mask in tail))
+    writer.add("pending_release", "q", engine._pending_release)
+    header["engine_scalars"] = {
+        "horizon_start": engine._horizon_start,
+        "epoch": engine._epoch,
+        "peak_live": engine._peak_live,
+    }
+
+    proxy = getattr(placer, "_proxy", None)
     header["has_proxy_state"] = proxy is not None
     if proxy is not None:
-        writer.add("proxy_scaled", "d", proxy["scaled"])
+        proxy_state = proxy.export_state()
+        writer.add("proxy_scaled", "d", proxy_state["scaled"])
         writer.add(
-            "proxy_heap_value", "d", (value for value, _ in proxy["heap"])
+            "proxy_heap_value",
+            "d",
+            (value for value, _ in proxy_state["heap"]),
         )
         writer.add(
-            "proxy_heap_index", "i", (index for _, index in proxy["heap"])
+            "proxy_heap_index",
+            "i",
+            (index for _, index in proxy_state["heap"]),
         )
-        writer.add("proxy_zero_heap", "i", proxy["zero_heap"])
+        writer.add("proxy_zero_heap", "i", proxy_state["zero_heap"])
         header["proxy_scalars"] = {
-            "step": proxy["step"],
-            "offset": proxy["offset"],
-            "scale": proxy["scale"],
+            "step": proxy_state["step"],
+            "offset": proxy_state["offset"],
+            "scale": proxy_state["scale"],
         }
 
-    rng = state.get("rng_state")
+    rng = getattr(placer, "_rng", None)
     header["has_rng"] = rng is not None
     if rng is not None:
-        version, words, gauss = rng
+        version, words, gauss = rng.getstate()
         writer.add("rng_words", "I", words)
         header["rng_scalars"] = {"version": version, "gauss": gauss}
 
+    header["sections"] = writer.table
+    return _write_container(
+        path, header["format"], header, writer.blobs, compress
+    )
 
-def _read_placer_state(
-    reader: _SectionReader, header: dict[str, Any]
-) -> dict[str, Any]:
-    scalars = header["placer_scalars"]
-    state: dict[str, Any] = {
-        "assignment": reader.get("assignment").tolist(),
-        "shard_sizes": reader.get("shard_sizes").tolist(),
-        "min_shard_size": scalars["min_shard_size"],
-        "min_size_count": scalars["min_size_count"],
-        "max_shard_size": scalars["max_shard_size"],
-    }
+
+def _apply_state(
+    engine: PlacementEngine,
+    header: dict[str, Any],
+    payload: bytes,
+    base: dict[str, Any],
+) -> None:
+    """Advance ``engine``, at the cursor ``base["n_placed"]``, to the
+    cursor of the file ``header`` and ``payload`` were read from."""
+    placer = engine.placer
+    scorer = engine._scorer
+    proxy = getattr(placer, "_proxy", None)
+    rng = getattr(placer, "_rng", None)
+    base_n = base["n_placed"]
+    if placer.n_placed != base_n:
+        raise SnapshotError(
+            f"engine holds {placer.n_placed} placements, the snapshot "
+            f"expects its base at {base_n}"
+        )
+    for flag, held, what in (
+        ("has_scorer", scorer, "a T2S scorer"),
+        ("has_proxy_state", proxy, "a load proxy"),
+        ("has_rng", rng, "an RNG"),
+    ):
+        if header[flag] != (held is not None):
+            raise SnapshotError(
+                "snapshot and its placer disagree on whether there is "
+                f"{what}"
+            )
+    reader = _SectionReader(header["sections"], payload)
+
+    def per_shard(name: str) -> list:
+        values = reader.get(name).tolist()
+        if len(values) != placer.n_shards:
+            raise SnapshotError(
+                f"snapshot section {name!r} has {len(values)} shards, "
+                f"placer has {placer.n_shards}"
+            )
+        return values
+
+    delta = bool(header.get("delta"))
+    placer._assignment.extend(
+        reader.get("assignment_tail" if delta else "assignment").tolist()
+    )
+    placer._shard_sizes[:] = per_shard("shard_sizes")
+    placer_scalars = header["placer_scalars"]
+    placer._min_shard_size = placer_scalars["min_shard_size"]
+    placer._min_size_count = placer_scalars["min_size_count"]
+    placer._max_shard_size = placer_scalars["max_shard_size"]
     if "argmin_value" in reader:
-        state["size_argmin_heap"] = list(
+        placer.size_argmin()._heap[:] = list(
             zip(
                 reader.get("argmin_value").tolist(),
                 reader.get("argmin_index").tolist(),
             )
         )
-    if header["has_scorer"]:
+    elif placer._size_argmin is not None:
+        placer._size_argmin.rebuild()
+
+    if scorer is not None:
         nnz = reader.get("t2s_nnz")
         shards = reader.get("t2s_shards").tolist()
         mass = reader.get("t2s_mass").tolist()
-        p_prime: list[dict[int, float] | None] = []
+        append = scorer._p_prime.append
         cursor = 0
         for count in nnz:
             if count < 0:
-                p_prime.append(None)
+                append(None)
             else:
                 end = cursor + count
-                p_prime.append(
-                    dict(zip(shards[cursor:end], mass[cursor:end]))
-                )
+                append(dict(zip(shards[cursor:end], mass[cursor:end])))
                 cursor = end
         if cursor != len(shards):
             raise SnapshotError(
                 "t2s_nnz does not account for every stored entry"
             )
-        scorer: dict[str, Any] = {
-            "p_prime": p_prime,
-            "spender_count": reader.get("t2s_spenders").tolist(),
-            "min_mass": reader.get("t2s_min_mass").tolist(),
-            "shard_sizes": reader.get("t2s_shard_sizes").tolist(),
-            "released": header["t2s_released"],
-        }
-        if "t2s_outputs" in reader:
-            scorer["output_count"] = reader.get("t2s_outputs").tolist()
-        scorer.update(header.get("t2s_scalars", {}))
-        state["scorer"] = scorer
-    if header["has_proxy_state"]:
+        # A None tail slot is a vector already released when the file
+        # was written (fully spent and swept, or behind the horizon).
+        scorer._released += nnz.count(-1)
+        scorer._spender_count.extend(reader.get("t2s_spenders").tolist())
+        scorer._min_mass.extend(reader.get("t2s_min_mass").tolist())
+        scorer._shard_sizes[:] = per_shard("t2s_shard_sizes")
+        if not scorer._spenders_divisor:
+            scorer._output_count.extend(reader.get("t2s_outputs").tolist())
+        scorer.import_hot_scalars(header.get("t2s_scalars", {}))
+
+    # Unspent masks: base entries the horizon passed since the base,
+    # then the touched pre-base parents, then the tail's entries.
+    remaining = engine._remaining
+    engine_scalars = header["engine_scalars"]
+    horizon = engine_scalars["horizon_start"]
+    swept = range(base.get("horizon_start", 0), min(horizon, base_n))
+    for txid in swept:
+        remaining.pop(txid, None)
+    dirty_txids: list[int] = []
+    dirty_masks: list[int] = []
+    if delta:
+        dirty_txids = reader.get("dirty_txid").tolist()
+        dirty_masks = _read_masks(reader, "dirty")
+        if scorer is not None:
+            for txid, count in zip(
+                dirty_txids, reader.get("dirty_spenders")
+            ):
+                scorer._spender_count[txid] = count
+    for txid, mask in zip(dirty_txids, dirty_masks):
+        if mask:
+            remaining[txid] = mask
+        else:
+            remaining.pop(txid, None)
+    tail_txids = reader.get("remaining_txid").tolist()
+    remaining.update(zip(tail_txids, _read_masks(reader, "remaining")))
+
+    pending = reader.get("pending_release").tolist()
+    if scorer is not None:
+        # Releases of base vectors since the base: the horizon sweep,
+        # every touched parent that went fully spent and was already
+        # drained from the pending list, and the base's own pending
+        # entries an epoch sweep has drained since. Fully-spent
+        # releases happen only on engines that collect them
+        # (truncate_spent); the horizon sweep runs regardless,
+        # mirroring _advance_epochs. A full file has no base vectors.
+        scorer.release_vectors(swept)
+        if engine._collect_spent:
+            pending_set = set(pending)
+            for txid, mask in zip(dirty_txids, dirty_masks):
+                if mask == 0 and txid not in pending_set:
+                    scorer.release_vector(txid)
+            for txid in engine._pending_release:
+                if txid not in pending_set:
+                    scorer.release_vector(txid)
+        if scorer.released_count != header["t2s_released"]:
+            raise SnapshotError(
+                f"snapshot application produced {scorer.released_count} "
+                f"released vectors, expected {header['t2s_released']}"
+            )
+    engine._pending_release[:] = pending
+    engine._horizon_start = horizon
+    engine._epoch = engine_scalars["epoch"]
+    engine._peak_live = engine_scalars["peak_live"]
+
+    if proxy is not None:
         proxy_scalars = header["proxy_scalars"]
-        state["proxy"] = {
-            "scaled": reader.get("proxy_scaled").tolist(),
-            "heap": list(
-                zip(
-                    reader.get("proxy_heap_value").tolist(),
-                    reader.get("proxy_heap_index").tolist(),
-                )
-            ),
-            "zero_heap": reader.get("proxy_zero_heap").tolist(),
-            "step": proxy_scalars["step"],
-            "offset": proxy_scalars["offset"],
-            "scale": proxy_scalars["scale"],
-        }
-    if header["has_rng"]:
-        rng_scalars = header["rng_scalars"]
-        state["rng_state"] = (
-            rng_scalars["version"],
-            tuple(reader.get("rng_words").tolist()),
-            rng_scalars["gauss"],
+        proxy.restore_state(
+            {
+                "scaled": per_shard("proxy_scaled"),
+                "heap": list(
+                    zip(
+                        reader.get("proxy_heap_value").tolist(),
+                        reader.get("proxy_heap_index").tolist(),
+                    )
+                ),
+                "zero_heap": reader.get("proxy_zero_heap").tolist(),
+                "step": proxy_scalars["step"],
+                "offset": proxy_scalars["offset"],
+                "scale": proxy_scalars["scale"],
+            }
         )
-    return state
+    if rng is not None:
+        rng_scalars = header["rng_scalars"]
+        rng.setstate(
+            (
+                rng_scalars["version"],
+                tuple(reader.get("rng_words").tolist()),
+                rng_scalars["gauss"],
+            )
+        )
+    # The capped baselines' allowed set is a pure function of sizes +
+    # cap: derived, not serialized.
+    rebuild = getattr(placer, "_rebuild_allowed", None)
+    if rebuild is not None:
+        rebuild()
+    if placer.n_placed != header["n_placed"]:
+        raise SnapshotError(
+            f"snapshot application reached cursor {placer.n_placed}, "
+            f"header claims {header['n_placed']}"
+        )
 
 
 # -- container i/o ---------------------------------------------------------
@@ -555,6 +717,23 @@ def _write_container(
     return size
 
 
+def _check_header(path: "str | Path", header: Any) -> None:
+    """Refuse a header that parses but lacks what the applier reads."""
+    if not isinstance(header, dict):
+        raise CorruptCheckpointError(f"{path} header is not a JSON object")
+    required = dict(_REQUIRED_KEYS)
+    for flag, key, kind in _FLAGGED_KEYS:
+        if header.get(flag):
+            required[key] = kind
+    for key, kind in required.items():
+        if key not in header:
+            raise CorruptCheckpointError(f"{path} header lacks {key!r}")
+        if not isinstance(header[key], kind):
+            raise CorruptCheckpointError(
+                f"{path} header key {key!r} is not a {kind.__name__}"
+            )
+
+
 def _read_container(path: "str | Path") -> tuple[int, dict, bytes]:
     """``(version, header, payload)`` of one snapshot container."""
     try:
@@ -580,6 +759,7 @@ def _read_container(path: "str | Path") -> tuple[int, dict, bytes]:
         header = json.loads(raw[12:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpointError(f"{path} has a corrupt header: {exc}")
+    _check_header(path, header)
     if header.get("byteorder") != sys.byteorder:
         raise SnapshotError(
             f"snapshot was written on a {header.get('byteorder')}-endian "
@@ -647,48 +827,20 @@ def save_engine_snapshot(
     against, deletes any stale sibling delta, and - with
     ``track_delta`` - starts the engine's dirty-parent journal.
     """
-    placer = engine.placer
     nonce = os.urandom(8).hex()
-    header: dict[str, Any] = {
-        "format": FORMAT_VERSION,
-        "byteorder": sys.byteorder,
-        "repro_version": __version__,
-        "placer": _placer_spec(placer),
-        "engine_config": engine.export_config(),
-        "n_placed": placer.n_placed,
-        "snapshot_nonce": nonce,
-    }
-    writer = _SectionWriter()
-    _write_placer_state(writer, placer.export_state(), header)
-
-    engine_state = engine.export_state()
-    remaining = engine_state["remaining"]
-    # Values are unspent-output bitmasks of arbitrary width (one bit
-    # per output; batch payouts can exceed 63 outputs), so they travel
-    # as length-prefixed big-endian byte strings.
-    mask_bytes = [
-        mask.to_bytes((mask.bit_length() + 7) // 8, "big")
-        for mask in remaining.values()
-    ]
-    writer.add("remaining_txid", "q", remaining.keys())
-    writer.add("remaining_nbytes", "i", (len(b) for b in mask_bytes))
-    writer.add("remaining_masks", "B", b"".join(mask_bytes))
-    writer.add("pending_release", "q", engine_state["pending_release"])
-    header["engine_scalars"] = {
-        "horizon_start": engine_state["horizon_start"],
-        "epoch": engine_state["epoch"],
-        "peak_live": engine_state["peak_live"],
-    }
-
-    header["sections"] = writer.table
     path = Path(path)
-    size = _write_container(
-        path, FORMAT_VERSION, header, writer.blobs, compress
+    size = _write_state(
+        engine,
+        path,
+        {"format": FORMAT_VERSION, "snapshot_nonce": nonce},
+        0,
+        None,
+        compress,
     )
     # Compaction point: future deltas diff against this snapshot, and
     # any previous delta is now stale.
     engine._delta_base = {
-        "n_placed": placer.n_placed,
+        "n_placed": engine.n_placed,
         "nonce": nonce,
         "horizon_start": engine.horizon_start,
         "path": str(path),
@@ -711,6 +863,56 @@ def save_engine_snapshot(
     return size
 
 
+def save_engine_delta(
+    engine: PlacementEngine, base_path: "str | Path", compress: bool = False
+) -> int:
+    """Write ``<base_path>.delta``: state since the last full snapshot.
+
+    The same layout as a full snapshot, against the base's cursor: the
+    per-txid tails appended since, the pre-base parents touched since
+    (release status is derived on load) and the O(n_shards) hot state.
+    Cost is O(activity since base) where a full snapshot is
+    O(n_placed). Cumulative: each call replaces the previous delta for
+    this base.
+    """
+    base = engine._delta_base
+    dirty = engine._dirty_parents
+    if base is None or dirty is None:
+        raise SnapshotError(
+            "no delta base: write a full snapshot first (the engine "
+            "journals touched parents only after one)"
+        )
+    base_n = base["n_placed"]
+    if engine.n_placed < base_n:
+        raise SnapshotError(
+            f"engine cursor {engine.n_placed} is behind the delta "
+            f"base {base_n}"
+        )
+    if base.get("path") != str(Path(base_path)):
+        raise SnapshotError(
+            f"the last full snapshot went to {base.get('path')!r}, "
+            f"not {str(base_path)!r}; a delta must sit beside its base"
+        )
+    header = {
+        "format": DELTA_FORMAT_VERSION,
+        "delta": True,
+        "base": {
+            "n_placed": base_n,
+            "nonce": base["nonce"],
+            "horizon_start": base["horizon_start"],
+        },
+    }
+    path = Path(base_path)
+    return _write_state(
+        engine,
+        path.with_name(path.name + ".delta"),
+        header,
+        base_n,
+        dirty,
+        compress,
+    )
+
+
 def load_engine_snapshot(path: "str | Path") -> PlacementEngine:
     """Rebuild a :class:`PlacementEngine` from a snapshot file.
 
@@ -724,426 +926,27 @@ def load_engine_snapshot(path: "str | Path") -> PlacementEngine:
             f"{path} is a delta snapshot; load its base full snapshot "
             "(the delta is applied automatically)"
         )
-    reader = _SectionReader(header["sections"], payload)
-
-    placer = _build_placer(header["placer"])
-    placer.restore_state(_read_placer_state(reader, header))
-    if placer.n_placed != header["n_placed"]:
-        raise SnapshotError(
-            f"snapshot claims {header['n_placed']} placements but "
-            f"carries {placer.n_placed}"
-        )
-
     config = header["engine_config"]
     engine = PlacementEngine(
-        placer,
+        _build_placer(header["placer"]),
         epoch_length=config["epoch_length"],
         horizon_epochs=config["horizon_epochs"],
         truncate_spent=config["truncate_spent"],
-        _preplaced_ok=True,
     )
-    scalars = header["engine_scalars"]
-    mask_blob = reader.get("remaining_masks").tobytes()
-    masks = []
-    cursor = 0
-    for nbytes in reader.get("remaining_nbytes"):
-        masks.append(
-            int.from_bytes(mask_blob[cursor : cursor + nbytes], "big")
-        )
-        cursor += nbytes
-    if cursor != len(mask_blob):
-        raise SnapshotError(
-            "remaining_nbytes does not account for every mask byte"
-        )
-    engine.restore_state(
-        {
-            "remaining": dict(
-                zip(reader.get("remaining_txid").tolist(), masks)
-            ),
-            "pending_release": reader.get("pending_release").tolist(),
-            "horizon_start": scalars["horizon_start"],
-            "epoch": scalars["epoch"],
-            "peak_live": scalars["peak_live"],
-        }
-    )
+    _apply_state(engine, header, payload, {"n_placed": 0, "horizon_start": 0})
+    nonce = header.get("snapshot_nonce")
     delta_path = Path(path).with_name(Path(path).name + ".delta")
     if delta_path.exists():
-        _apply_engine_delta(
-            engine, delta_path, header.get("snapshot_nonce")
-        )
-    engine.last_snapshot_nonce = header.get("snapshot_nonce")
+        version, header, payload = _read_container(delta_path)
+        if version != DELTA_FORMAT_VERSION or not header.get("delta"):
+            raise SnapshotError(f"{delta_path} is not a delta snapshot")
+        base = header["base"]
+        if nonce is None or base.get("nonce") != nonce:
+            raise SnapshotError(
+                f"{delta_path} was taken against a different base "
+                "snapshot (nonce mismatch); delete it or restore the "
+                "matching full snapshot"
+            )
+        _apply_state(engine, header, payload, base)
+    engine.last_snapshot_nonce = nonce
     return engine
-
-
-# -- delta snapshots (format v3) -------------------------------------------
-
-
-def save_engine_delta(
-    engine: PlacementEngine, base_path: "str | Path", compress: bool = False
-) -> int:
-    """Write ``<base_path>.delta``: state since the last full snapshot.
-
-    Serialized: the per-txid arrays appended since the base cursor
-    (assignment, T2S vectors/spenders/min-mass, unspent masks), the
-    pre-base parents the stream touched since (final spender count and
-    mask; release status is derived on load), and the O(n_shards) hot
-    scalars (shard sizes, trackers, proxy, RNG, truncation
-    accounting). Cost is O(activity since base) - the point of the
-    format - where a full snapshot is O(n_placed).
-
-    Cumulative: each call replaces the previous delta for this base.
-    """
-    base = engine._delta_base
-    dirty = engine._dirty_parents
-    if base is None or dirty is None:
-        raise SnapshotError(
-            "no delta base: write a full snapshot first (the engine "
-            "journals touched parents only after one)"
-        )
-    placer = engine.placer
-    base_n = base["n_placed"]
-    if placer.n_placed < base_n:
-        raise SnapshotError(
-            f"engine cursor {placer.n_placed} is behind the delta "
-            f"base {base_n}"
-        )
-    if base.get("path") != str(Path(base_path)):
-        raise SnapshotError(
-            f"the last full snapshot went to {base.get('path')!r}, "
-            f"not {str(base_path)!r}; a delta must sit beside its base"
-        )
-    scorer = engine._scorer
-    header: dict[str, Any] = {
-        "format": DELTA_FORMAT_VERSION,
-        "delta": True,
-        "byteorder": sys.byteorder,
-        "repro_version": __version__,
-        "placer": _placer_spec(placer),
-        "engine_config": engine.export_config(),
-        "n_placed": placer.n_placed,
-        "base": {
-            "n_placed": base_n,
-            "nonce": base["nonce"],
-            "horizon_start": base["horizon_start"],
-        },
-    }
-    writer = _SectionWriter()
-
-    # Appended tail of every per-txid array.
-    writer.add("assignment_tail", "i", placer._assignment[base_n:])
-    header["placer_scalars"] = {
-        "min_shard_size": placer._min_shard_size,
-        "min_size_count": placer._min_size_count,
-        "max_shard_size": placer._max_shard_size,
-    }
-    writer.add("shard_sizes", "q", placer._shard_sizes)
-    if placer._size_argmin is not None:
-        heap = placer._size_argmin._heap
-        writer.add("argmin_value", "q", (value for value, _ in heap))
-        writer.add("argmin_index", "i", (index for _, index in heap))
-
-    header["has_scorer"] = scorer is not None
-    if scorer is not None:
-        nnz = array("i")
-        shards = array("i")
-        mass = array("d")
-        for vector in scorer._p_prime[base_n:]:
-            if vector is None:
-                nnz.append(-1)
-            else:
-                nnz.append(len(vector))
-                for shard, value in vector.items():
-                    shards.append(shard)
-                    mass.append(value)
-        writer.add("t2s_nnz", "i", nnz)
-        writer.add("t2s_shards", "i", shards)
-        writer.add("t2s_mass", "d", mass)
-        writer.add("t2s_spenders", "i", scorer._spender_count[base_n:])
-        writer.add("t2s_min_mass", "d", scorer._min_mass[base_n:])
-        writer.add("t2s_shard_sizes", "q", scorer._shard_sizes)
-        header["t2s_released"] = scorer.released_count
-        if not scorer._spenders_divisor:
-            writer.add("t2s_outputs", "i", scorer._output_count[base_n:])
-        scalars = scorer.export_hot_scalars()
-        if scalars:
-            header["t2s_scalars"] = scalars
-
-    # Pre-base parents touched since the base: final spender count and
-    # unspent mask (0 = fully spent or horizon-dropped).
-    remaining = engine._remaining
-    touched = sorted(txid for txid in dirty if txid < base_n)
-    writer.add("dirty_txid", "q", touched)
-    if scorer is not None:
-        writer.add(
-            "dirty_spenders",
-            "i",
-            (scorer._spender_count[txid] for txid in touched),
-        )
-    dirty_masks = [
-        (mask := remaining.get(txid, 0)).to_bytes(
-            (mask.bit_length() + 7) // 8, "big"
-        )
-        for txid in touched
-    ]
-    writer.add("dirty_nbytes", "i", (len(b) for b in dirty_masks))
-    writer.add("dirty_masks", "B", b"".join(dirty_masks))
-
-    # Unspent masks created since the base.
-    tail_entries = [
-        (txid, mask) for txid, mask in remaining.items() if txid >= base_n
-    ]
-    tail_masks = [
-        mask.to_bytes((mask.bit_length() + 7) // 8, "big")
-        for _, mask in tail_entries
-    ]
-    writer.add("remaining_txid", "q", (txid for txid, _ in tail_entries))
-    writer.add("remaining_nbytes", "i", (len(b) for b in tail_masks))
-    writer.add("remaining_masks", "B", b"".join(tail_masks))
-
-    engine_state = engine.export_state()
-    writer.add("pending_release", "q", engine_state["pending_release"])
-    header["engine_scalars"] = {
-        "horizon_start": engine_state["horizon_start"],
-        "epoch": engine_state["epoch"],
-        "peak_live": engine_state["peak_live"],
-    }
-
-    proxy = getattr(placer, "_proxy", None)
-    header["has_proxy_state"] = proxy is not None
-    if proxy is not None:
-        proxy_state = proxy.export_state()
-        writer.add("proxy_scaled", "d", proxy_state["scaled"])
-        writer.add(
-            "proxy_heap_value",
-            "d",
-            (value for value, _ in proxy_state["heap"]),
-        )
-        writer.add(
-            "proxy_heap_index",
-            "i",
-            (index for _, index in proxy_state["heap"]),
-        )
-        writer.add("proxy_zero_heap", "i", proxy_state["zero_heap"])
-        header["proxy_scalars"] = {
-            "step": proxy_state["step"],
-            "offset": proxy_state["offset"],
-            "scale": proxy_state["scale"],
-        }
-
-    rng = getattr(placer, "_rng", None)
-    header["has_rng"] = rng is not None
-    if rng is not None:
-        version, words, gauss = rng.getstate()
-        writer.add("rng_words", "I", words)
-        header["rng_scalars"] = {"version": version, "gauss": gauss}
-
-    header["sections"] = writer.table
-    path = Path(base_path)
-    return _write_container(
-        path.with_name(path.name + ".delta"),
-        DELTA_FORMAT_VERSION,
-        header,
-        writer.blobs,
-        compress,
-    )
-
-
-def _apply_engine_delta(
-    engine: PlacementEngine,
-    delta_path: "str | Path",
-    base_nonce: "str | None",
-) -> None:
-    """Advance a freshly-loaded base engine to the delta's cursor."""
-    version, header, payload = _read_container(delta_path)
-    if version != DELTA_FORMAT_VERSION or not header.get("delta"):
-        raise SnapshotError(f"{delta_path} is not a delta snapshot")
-    base = header.get("base", {})
-    if base_nonce is None or base.get("nonce") != base_nonce:
-        raise SnapshotError(
-            f"{delta_path} was taken against a different base "
-            "snapshot (nonce mismatch); delete it or restore the "
-            "matching full snapshot"
-        )
-    placer = engine.placer
-    base_n = base["n_placed"]
-    if placer.n_placed != base_n:
-        raise SnapshotError(
-            f"base snapshot holds {placer.n_placed} placements, delta "
-            f"expects {base_n}"
-        )
-    reader = _SectionReader(header["sections"], payload)
-
-    placer._assignment.extend(reader.get("assignment_tail").tolist())
-    placer._shard_sizes[:] = reader.get("shard_sizes").tolist()
-    placer_scalars = header["placer_scalars"]
-    placer._min_shard_size = placer_scalars["min_shard_size"]
-    placer._min_size_count = placer_scalars["min_size_count"]
-    placer._max_shard_size = placer_scalars["max_shard_size"]
-    if "argmin_value" in reader:
-        placer.size_argmin()._heap[:] = list(
-            zip(
-                reader.get("argmin_value").tolist(),
-                reader.get("argmin_index").tolist(),
-            )
-        )
-    elif placer._size_argmin is not None:
-        placer._size_argmin.rebuild()
-
-    scorer = engine._scorer
-    if header["has_scorer"] != (scorer is not None):
-        raise SnapshotError(
-            "delta and base disagree on whether the placer has a "
-            "scorer"
-        )
-    if scorer is not None:
-        nnz = reader.get("t2s_nnz")
-        shards = reader.get("t2s_shards").tolist()
-        mass = reader.get("t2s_mass").tolist()
-        cursor = 0
-        for count in nnz:
-            if count < 0:
-                scorer._p_prime.append(None)
-            else:
-                end = cursor + count
-                scorer._p_prime.append(
-                    dict(zip(shards[cursor:end], mass[cursor:end]))
-                )
-                cursor = end
-        if cursor != len(shards):
-            raise SnapshotError(
-                "delta t2s_nnz does not account for every stored entry"
-            )
-        # A None tail slot is a vector that was already released when
-        # the delta was taken (fully spent and swept, or behind the
-        # horizon); count them so released/live accounting matches the
-        # original engine exactly.
-        scorer._released += sum(1 for count in nnz if count < 0)
-        scorer._spender_count.extend(
-            reader.get("t2s_spenders").tolist()
-        )
-        scorer._min_mass.extend(reader.get("t2s_min_mass").tolist())
-        scorer._shard_sizes[:] = reader.get("t2s_shard_sizes").tolist()
-        if "t2s_outputs" in reader:
-            scorer._output_count.extend(
-                reader.get("t2s_outputs").tolist()
-            )
-        scorer.import_hot_scalars(header.get("t2s_scalars", {}))
-
-    remaining = engine._remaining
-
-    def _masks_of(prefix: str) -> list[int]:
-        blob = reader.get(f"{prefix}_masks").tobytes()
-        masks = []
-        cursor = 0
-        for nbytes in reader.get(f"{prefix}_nbytes"):
-            masks.append(
-                int.from_bytes(blob[cursor : cursor + nbytes], "big")
-            )
-            cursor += nbytes
-        if cursor != len(blob):
-            raise SnapshotError(
-                f"delta {prefix}_nbytes does not account for every "
-                "mask byte"
-            )
-        return masks
-
-    # Touched pre-base parents: final spender counts and masks.
-    dirty_txids = reader.get("dirty_txid").tolist()
-    if scorer is not None:
-        for txid, count in zip(
-            dirty_txids, reader.get("dirty_spenders")
-        ):
-            scorer._spender_count[txid] = count
-    dirty_masks = _masks_of("dirty")
-    for txid, mask in zip(dirty_txids, dirty_masks):
-        if mask:
-            remaining[txid] = mask
-        else:
-            remaining.pop(txid, None)
-    for txid, mask in zip(
-        reader.get("remaining_txid").tolist(), _masks_of("remaining")
-    ):
-        remaining[txid] = mask
-
-    engine_scalars = header["engine_scalars"]
-    pending = reader.get("pending_release").tolist()
-    base_pending = list(engine._pending_release)
-    engine._pending_release[:] = pending
-    engine._epoch = engine_scalars["epoch"]
-    engine._peak_live = engine_scalars["peak_live"]
-
-    if scorer is not None:
-        # Reconstruct the releases that happened since the base: the
-        # horizon sweep over [base_horizon, horizon), every touched
-        # parent that went fully spent and was already drained from
-        # the pending list, and the base's own pending entries an
-        # epoch sweep has drained since. The fully-spent releases only
-        # happen on engines that collect them (truncate_spent); the
-        # horizon sweep runs regardless, mirroring _advance_epochs.
-        horizon = engine_scalars["horizon_start"]
-        base_horizon = base.get("horizon_start", 0)
-        if horizon > base_horizon:
-            scorer.release_vectors(range(base_horizon, horizon))
-            for txid in range(base_horizon, horizon):
-                remaining.pop(txid, None)
-        if engine._collect_spent:
-            pending_set = set(pending)
-            for txid, mask in zip(dirty_txids, dirty_masks):
-                if mask == 0 and txid not in pending_set:
-                    scorer.release_vector(txid)
-            for txid in base_pending:
-                if txid not in pending_set:
-                    scorer.release_vector(txid)
-        expected_released = header["t2s_released"]
-        if scorer.released_count != expected_released:
-            raise SnapshotError(
-                f"delta application produced {scorer.released_count} "
-                f"released vectors, expected {expected_released}"
-            )
-    engine._horizon_start = engine_scalars["horizon_start"]
-
-    if header["has_proxy_state"]:
-        proxy = getattr(placer, "_proxy", None)
-        if proxy is None:
-            raise SnapshotError(
-                "delta carries load-proxy state but the base placer "
-                "has no proxy"
-            )
-        proxy_scalars = header["proxy_scalars"]
-        proxy.restore_state(
-            {
-                "scaled": reader.get("proxy_scaled").tolist(),
-                "heap": list(
-                    zip(
-                        reader.get("proxy_heap_value").tolist(),
-                        reader.get("proxy_heap_index").tolist(),
-                    )
-                ),
-                "zero_heap": reader.get("proxy_zero_heap").tolist(),
-                "step": proxy_scalars["step"],
-                "offset": proxy_scalars["offset"],
-                "scale": proxy_scalars["scale"],
-            }
-        )
-    if header["has_rng"]:
-        rng = getattr(placer, "_rng", None)
-        if rng is None:
-            raise SnapshotError(
-                "delta carries RNG state but the base placer has none"
-            )
-        rng_scalars = header["rng_scalars"]
-        rng.setstate(
-            (
-                rng_scalars["version"],
-                tuple(reader.get("rng_words").tolist()),
-                rng_scalars["gauss"],
-            )
-        )
-    rebuild = getattr(placer, "_rebuild_allowed", None)
-    if rebuild is not None:
-        rebuild()
-    if placer.n_placed != header["n_placed"]:
-        raise SnapshotError(
-            f"delta application reached cursor {placer.n_placed}, "
-            f"header claims {header['n_placed']}"
-        )

@@ -160,3 +160,70 @@ class TestLegacyHeaders:
         )
         with pytest.raises(CorruptCheckpointError, match="corrupt"):
             PlacementEngine.restore(snap)
+
+
+def rewrite_header(path: Path, edit) -> None:
+    """Replace the container's JSON header with ``edit(header)``."""
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+    header_bytes = json.dumps(edit(header)).encode("utf-8")
+    path.write_bytes(
+        raw[:8]
+        + struct.pack("<I", len(header_bytes))
+        + header_bytes
+        + raw[12 + header_len :]
+    )
+
+
+def without(key):
+    def edit(header):
+        del header[key]
+        return header
+
+    return edit
+
+
+class TestMalformedHeaders:
+    """A header that parses as JSON but is not the snapshot's header
+    object is a corrupt checkpoint, in a full file and a delta alike."""
+
+    @pytest.fixture(scope="class")
+    def pair(self, tmp_path_factory) -> Path:
+        snap = tmp_path_factory.mktemp("pair") / "engine.snap"
+        engine = build_engine()
+        engine.checkpoint(snap, track_delta=True)
+        stream = synthetic_stream(1_000, seed=5)
+        engine.place_batch(stream[800:1_000])
+        engine.checkpoint(snap, delta=True)
+        return snap
+
+    @pytest.mark.parametrize("target", ["full", "delta"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            *(
+                pytest.param(without(key), id=f"no-{key}")
+                for key in (
+                    "placer",
+                    "engine_config",
+                    "n_placed",
+                    "sections",
+                    "placer_scalars",
+                    "engine_scalars",
+                    "has_scorer",
+                    "has_proxy_state",
+                    "has_rng",
+                )
+            ),
+            pytest.param(lambda header: list(header), id="list"),
+        ],
+    )
+    def test_malformed_header_is_corrupt(self, tmp_path, pair, target, edit):
+        snap = tmp_path / pair.name
+        delta = Path(f"{snap}.delta")
+        snap.write_bytes(pair.read_bytes())
+        delta.write_bytes(Path(f"{pair}.delta").read_bytes())
+        rewrite_header(snap if target == "full" else delta, edit)
+        with pytest.raises(CorruptCheckpointError, match="header"):
+            PlacementEngine.restore(snap)

@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.core.backends import backend_available
 from repro.core.placement import make_placer
 from repro.datasets.synthetic import synthetic_stream
 from repro.errors import SnapshotError
@@ -23,6 +24,10 @@ from repro.service.state import (
 )
 
 N_SHARDS = 4
+
+needs_kernel = pytest.mark.skipif(
+    not backend_available("numpy"), reason="numpy backend (kernel) absent"
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +63,10 @@ def build(strategy="optchain", **kwargs):
         ("optchain-topk", {"support_cap": 2}),
         ("t2s", {}),
         ("omniledger", {}),
+        pytest.param("optchain:backend=numpy", {}, marks=needs_kernel),
+        pytest.param(
+            "optchain-topk:cap=2,backend=numpy", {}, marks=needs_kernel
+        ),
     ],
 )
 def test_delta_restore_is_bit_identical(tmp_path, stream, strategy, kwargs):
@@ -202,11 +211,26 @@ def test_mismatched_delta_rejected(tmp_path, stream):
 
 
 def test_horizon_mode_delta_round_trip(tmp_path, stream):
+    horizon_round_trip(tmp_path, stream, "optchain")
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        pytest.param("optchain:backend=numpy", marks=needs_kernel),
+        pytest.param("optchain-topk:cap=2,backend=numpy", marks=needs_kernel),
+    ],
+)
+def test_horizon_mode_delta_round_trip_numpy(tmp_path, stream, strategy):
+    horizon_round_trip(tmp_path, stream, strategy)
+
+
+def horizon_round_trip(tmp_path, stream, strategy):
     base = tmp_path / "horizon.snap"
-    reference = build(epoch_length=300, horizon_epochs=2)
+    reference = build(strategy, epoch_length=300, horizon_epochs=2)
     expected = feed(reference, stream, 0, 3_000)
 
-    engine = build(epoch_length=300, horizon_epochs=2)
+    engine = build(strategy, epoch_length=300, horizon_epochs=2)
     feed(engine, stream, 0, 1_000)
     engine.checkpoint(base, track_delta=True)
     feed(engine, stream, 1_000, 2_200)
