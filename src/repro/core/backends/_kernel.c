@@ -20,9 +20,10 @@
  * is no second loop to fall back to.
  *
  * Input: one raw-outpoint CSR (parent txid per outpoint, per-tx
- * offsets) - the wire decoder's zero-copy columns or the object
- * marshal of numpy_backend.py, which produce the same arrays. Parents
- * are deduplicated here, per transaction, in first-appearance order.
+ * offsets) - the validation driver's copy of the wire columns with the
+ * offsets validate_batch built, or the object marshal of
+ * numpy_backend.py, which produce the same arrays. Parents are
+ * deduplicated here, per transaction, in first-appearance order.
  *
  * Dense-row representation: p'(v) vectors live as rows of an arena
  * (n_rows x n_shards float64, the RowMatrix of arrays.py) addressed
@@ -30,15 +31,21 @@
  * masses are always > prune_epsilon > 0, so `row[shard] == 0.0` <=>
  * "shard absent from the sparse dict" and
  * `slot >= 0 && isfinite(min_mass)` <=> "vector is a non-empty dict"
- * (placed vectors always hold their alpha entry). The caller binds a
- * zeroed arena row to every txid of the batch before the call, so the
- * kernel never allocates rows itself.
+ * (placed vectors always hold their alpha entry). Each placed txid
+ * binds a zeroed arena row here, in RowMatrix._take's order: the top of
+ * the free stack, else the next never-used row. The caller reserves
+ * arena room for the whole batch, so binding never allocates.
  *
  * Error/capacity protocol: per-transaction commits are atomic. On an
  * invalid input the kernel stops *before* mutating anything for the
  * offending transaction and reports (txid, parent); on a full scratch
- * buffer it reports how far it got so the caller can grow buffers and
- * re-enter with the remaining suffix.
+ * buffer it reports how far it got (n_done) so the caller can grow
+ * buffers and call again, resuming at transaction n_done.
+ *
+ * Both state structs are resident: the caller builds each once per
+ * placer / engine, sets the configuration once, rebinds a pointer only
+ * when its owner's buffer moved, and writes the dynamic scalars before
+ * every batch.
  */
 
 #include <math.h>
@@ -46,10 +53,10 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Wire columns (raw parents, indexes, output counts) are zero-copy
- * views at arbitrary byte offsets of a frame; a typed dereference of a
- * misaligned pointer is undefined behaviour, a memcpy load is one plain
- * mov on x86-64 and arm64. */
+/* Batch columns (raw parents, indexes, counts) are whatever int64 /
+ * int32 buffer the caller hands over, and a numpy view may start at any
+ * byte offset; a typed dereference of a misaligned pointer is undefined
+ * behaviour, a memcpy load is one plain mov on x86-64 and arm64. */
 static inline int64_t load_i64(const int64_t *p) {
     int64_t v;
     memcpy(&v, p, sizeof v);
@@ -111,13 +118,17 @@ typedef struct {
     int64_t *scorer_sizes;   /* n_shards, T2SScorer._shard_sizes */
 
     /* -- scorer per-txid state (in/out, persistent numpy buffers) ------ */
-    double *pmat;            /* arena rows * n_shards, row-major */
-    const int32_t *slot;     /* rows_cap: arena row per txid, -1 dead */
+    double *pmat;            /* arena_rows * n_shards, row-major */
+    int32_t *slot;           /* rows_cap: arena row per txid, -1 dead */
+    const int32_t *free_rows; /* the arena's free stack, rows_free deep */
+    int64_t rows_free;       /* in/out */
+    int64_t rows_resident;   /* in/out: arena rows handed out so far */
+    int64_t arena_rows;      /* arena capacity, >= rows the batch binds */
     double *min_mass;        /* rows_cap */
     int64_t *spender_count;  /* rows_cap */
     int64_t *assignment;     /* rows_cap */
     int64_t n_placed;
-    int64_t rows_cap;        /* txids below it have a bound slot */
+    int64_t rows_cap;        /* capacity of the per-txid columns */
     /* scorer truncation scalars (in/out; untouched when cap < 0) */
     double dropped_mass;
     int64_t truncated_vectors;
@@ -125,7 +136,7 @@ typedef struct {
     /* -- batch input (read-only) --------------------------------------- */
     int64_t n_tx;
     const int64_t *parents;      /* raw outpoint txids, possibly unaligned */
-    const int64_t *par_off;      /* n_tx + 1 */
+    const int64_t *par_off;      /* >= n_tx + 1 */
 
     /* -- scratch (caller-allocated, n_shards-sized unless noted) ------- */
     double *raw;             /* dense p'(u) accumulator, zeroed */
@@ -140,8 +151,10 @@ typedef struct {
     int64_t *dedup;          /* one tx's deduped parents, dedup_cap */
     int64_t dedup_cap;
 
-    /* -- results ------------------------------------------------------- */
-    int64_t n_done;          /* transactions fully committed this call */
+    /* -- progress (in/out) and results --------------------------------- */
+    int64_t n_done;          /* transactions of the batch committed; the
+                              * call starts at this one (0 per batch) */
+    int64_t dedup_need;      /* inputs of the tx dedup could not hold */
     int64_t error_txid;
     int64_t error_parent;
 } KState;
@@ -509,14 +522,15 @@ int place_batch(KState *s) {
     const int has_eps = s->has_eps;
     const int64_t cap = s->support_cap;
 
-    s->n_done = 0;
+    s->dedup_need = 0;
     s->error_txid = -1;
     s->error_parent = -1;
 
-    for (int64_t t = 0; t < s->n_tx; t++) {
+    for (int64_t t = s->n_done; t < s->n_tx; t++) {
         int64_t txid = s->n_placed;
-        if (txid >= s->rows_cap) {
-            return KERN_CAPACITY;
+        if (txid >= s->rows_cap ||
+            (s->rows_free == 0 && s->rows_resident >= s->arena_rows)) {
+            return KERN_INTERNAL; /* the caller reserves the batch's room */
         }
         /* Heap headroom for the whole transaction, checked before any
          * state is touched so a CAPACITY return always leaves the
@@ -541,7 +555,8 @@ int place_batch(KState *s) {
         const int64_t n_raw = n_par;
         if (n_par > 0) {
             if (n_par > s->dedup_cap) {
-                return KERN_INTERNAL;
+                s->dedup_need = n_par;
+                return KERN_CAPACITY;
             }
             int64_t nd = 0;
             for (int64_t p = 0; p < n_par; p++) {
@@ -672,9 +687,13 @@ int place_batch(KState *s) {
         if (cap >= 0 && nnz > cap) {
             truncate_support_dense(s, &nnz, &bound);
         }
-        /* Append: store the new row (its bound arena row is zeroed). */
+        /* Append: bind a zeroed arena row and store the new vector. */
         {
-            double *row = s->pmat + (int64_t)s->slot[txid] * k;
+            int64_t bound_row = s->rows_free > 0
+                                    ? s->free_rows[--s->rows_free]
+                                    : s->rows_resident++;
+            s->slot[txid] = (int32_t)bound_row;
+            double *row = s->pmat + bound_row * k;
             for (int64_t i = 0; i < nnz; i++) {
                 int64_t shard = s->touched[i];
                 row[shard] = s->raw[shard];
@@ -957,6 +976,11 @@ int place_batch(KState *s) {
  * the error frontier (which txid / parent / output index is reported)
  * is exactly the same.
  *
+ * The batch arrives as the wire's per-transaction input counts; the
+ * CSR offsets both kernels read are built here, first, so they are
+ * complete on every return (place_batch reads them after a FALLBACK
+ * too).
+ *
  * Returns VALID_FALLBACK (after rolling back) when the batch touches
  * state the int64 encoding cannot represent: a sentinel mask, or a
  * transaction with more than 62 outputs. The caller then re-runs the
@@ -974,22 +998,26 @@ typedef struct {
     int64_t n_tx;
     int64_t first_txid;
     int64_t horizon_start;
-    const int64_t *parents;   /* raw outpoint txids, total_inputs */
-    const int32_t *indexes;   /* raw outpoint indexes, total_inputs */
-    const int64_t *in_off;    /* n_tx + 1 */
-    const int32_t *n_outputs; /* n_tx */
+    const int64_t *parents;    /* raw outpoint txids, total_inputs */
+    const int32_t *indexes;    /* raw outpoint indexes, total_inputs */
+    const uint32_t *n_inputs;  /* n_tx */
+    const int32_t *n_outputs;  /* n_tx */
+    int64_t track_behind;      /* nonzero: list spends behind the horizon */
 
     /* -- mask store (in/out) ------------------------------------------- */
     int64_t *masks;           /* dense by txid; caller grew past the batch */
 
     /* -- caller-allocated result buffers ------------------------------- */
+    int64_t *in_off;          /* >= n_tx + 1: CSR offsets, built here */
     int64_t *undo_txid;       /* >= total_inputs */
     int64_t *undo_mask;       /* >= total_inputs */
     int64_t *released;        /* >= total_inputs + n_tx */
+    int64_t *behind;          /* >= total_inputs */
 
     /* -- results ------------------------------------------------------- */
     int64_t n_undo;
     int64_t n_released;
+    int64_t n_behind;
     int64_t tracked_delta;    /* net change in live entry count */
     int64_t error_txid;
     int64_t error_parent;
@@ -999,17 +1027,27 @@ typedef struct {
 int validate_batch(VState *s) {
     const int64_t horizon = s->horizon_start;
     const int64_t last = s->first_txid + s->n_tx;
+    const int track_behind = s->track_behind != 0;
     int64_t n_undo = 0;
     int64_t n_rel = 0;
+    int64_t n_behind = 0;
     int64_t delta = 0;
     int rc = VALID_OK;
 
     s->n_undo = 0;
     s->n_released = 0;
+    s->n_behind = 0;
     s->tracked_delta = 0;
     s->error_txid = -1;
     s->error_parent = -1;
     s->error_index = -1;
+
+    s->in_off[0] = 0;
+    for (int64_t t = 0; t < s->n_tx; t++) {
+        uint32_t count;
+        memcpy(&count, s->n_inputs + t, sizeof count);
+        s->in_off[t + 1] = s->in_off[t] + (int64_t)count;
+    }
 
     int64_t txid = s->first_txid;
     for (int64_t t = 0; t < s->n_tx; t++, txid++) {
@@ -1028,7 +1066,13 @@ int validate_batch(VState *s) {
                 goto rollback;
             }
             if (parent < horizon) {
-                continue; /* pre-horizon parents pass unchecked */
+                /* Pre-horizon parents pass unchecked, but the spend
+                 * still moves their spender count: a delta checkpoint
+                 * must carry them. */
+                if (track_behind) {
+                    s->behind[n_behind++] = parent;
+                }
+                continue;
             }
             int64_t mask = s->masks[parent];
             if (mask == 0) {
@@ -1075,6 +1119,7 @@ int validate_batch(VState *s) {
     }
     s->n_undo = n_undo;
     s->n_released = n_rel;
+    s->n_behind = n_behind;
     s->tracked_delta = delta;
     return VALID_OK;
 

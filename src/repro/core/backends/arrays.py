@@ -217,6 +217,26 @@ class RowMatrix:
         slot[: self._n] = self.slot[: self._n]
         self.slot = slot
 
+    def reserve(self, count: int) -> None:
+        """Make room for ``count`` more live rows: grow the arena now
+        if the free stack and the never-used rows cannot hold them, so
+        the compiled kernel - which binds rows itself, in
+        :meth:`_take`'s order - never has to allocate."""
+        top = self.rows_resident + count - self.rows_free
+        if top > len(self.arr):
+            self._grow_arena(top)
+
+    def _grow_arena(self, top: int) -> None:
+        cap = len(self.arr)
+        while cap < top:
+            cap *= _GROW
+        arr = np.zeros((cap, self.n_shards), dtype=np.float64)
+        arr[: self.rows_resident] = self.arr[: self.rows_resident]
+        self.arr = arr
+        free = np.empty(cap, dtype=np.int32)
+        free[: self.rows_free] = self._free[: self.rows_free]
+        self._free = free
+
     def _take(self, count: int) -> np.ndarray:
         """``count`` zeroed arena rows: popped off the free stack first,
         then fresh rows past the arena top."""
@@ -224,16 +244,8 @@ class RowMatrix:
         self.rows_free -= popped
         rows = self._free[self.rows_free : self.rows_free + popped][::-1]
         top = self.rows_resident + count - popped
-        cap = len(self.arr)
-        if top > cap:
-            while cap < top:
-                cap *= _GROW
-            arr = np.zeros((cap, self.n_shards), dtype=np.float64)
-            arr[: self.rows_resident] = self.arr[: self.rows_resident]
-            self.arr = arr
-            free = np.empty(cap, dtype=np.int32)
-            free[: self.rows_free] = self._free[: self.rows_free]
-            self._free = free
+        if top > len(self.arr):
+            self._grow_arena(top)
         fresh = np.arange(self.rows_resident, top, dtype=np.int32)
         self.rows_resident = top
         return np.concatenate((rows, fresh))
@@ -247,9 +259,9 @@ class RowMatrix:
 
     def claim(self, start: int, stop: int) -> None:
         """Bind zeroed rows to the dead txids ``[start, stop)`` past the
-        end, for the compiled kernel to write new vectors into; a
-        rejected batch hands back what it did not commit with
-        :meth:`reset`."""
+        end, in the order the compiled kernel binds them one placement
+        at a time, for a caller to write new vectors into; rows it does
+        not commit go back with :meth:`reset`."""
         self._grow_to(stop)
         self.slot[start:stop] = self._take(stop - start)
 

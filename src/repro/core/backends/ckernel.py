@@ -50,16 +50,23 @@ VALID_SPENT = 2
 VALID_FUTURE = 3
 VALID_FALLBACK = 4
 
-_c_double_p = ctypes.POINTER(ctypes.c_double)
-_c_int64_p = ctypes.POINTER(ctypes.c_int64)
-_c_int32_p = ctypes.POINTER(ctypes.c_int32)
+# Pointer fields are declared ``c_void_p`` on this side (same layout as
+# the typed C pointers): the drivers store plain buffer addresses, read
+# once per buffer object.
+_ptr = ctypes.c_void_p
 
 
 class KState(ctypes.Structure):
-    """Mirror of the ``KState`` struct in ``_kernel.c`` (same order)."""
+    """Mirror of the ``KState`` struct in ``_kernel.c`` (same order).
+
+    One instance lives as long as its placer's driver: configuration is
+    written once, pointers when their buffer moves, the dynamic scalars
+    (proxy clock, heap lengths, size extremes, ``n_placed``, the batch
+    fields) before every call.
+    """
 
     _fields_ = [
-        # configuration
+        # configuration (set once)
         ("n_shards", ctypes.c_int64),
         ("alpha", ctypes.c_double),
         ("one_minus_alpha", ctypes.c_double),
@@ -75,82 +82,98 @@ class KState(ctypes.Structure):
         ("block", ctypes.c_double),
         ("renorm_span", ctypes.c_int64),
         ("compact_limit", ctypes.c_int64),
-        # proxy state
-        ("scaled", _c_double_p),
-        ("heap_vals", _c_double_p),
-        ("heap_idx", _c_int64_p),
+        # proxy state: driver scratch the python heaps and loads are
+        # copied into before each batch and out of after it
+        ("scaled", _ptr),
+        ("heap_vals", _ptr),
+        ("heap_idx", _ptr),
         ("heap_len", ctypes.c_int64),
         ("heap_cap", ctypes.c_int64),
-        ("zero_heap", _c_int64_p),
+        ("zero_heap", _ptr),
         ("zero_len", ctypes.c_int64),
         ("zero_cap", ctypes.c_int64),
         ("step", ctypes.c_int64),
         ("offset", ctypes.c_int64),
         ("pscale", ctypes.c_double),
-        # strategy state
-        ("strat_sizes", _c_int64_p),
+        # strategy state (sizes copied in/out like the proxy)
+        ("strat_sizes", _ptr),
         ("min_size_val", ctypes.c_int64),
         ("min_size_count", ctypes.c_int64),
         ("max_size_val", ctypes.c_int64),
-        ("scorer_sizes", _c_int64_p),
-        # scorer per-txid state
-        # pmat is the RowMatrix arena; slot[txid] is the arena row of
-        # txid's vector (-1 dead). Free rows are all-zero, and the
-        # driver binds zeroed rows to the batch's txids before the call.
-        ("pmat", _c_double_p),
-        ("slot", _c_int32_p),
-        ("min_mass", _c_double_p),
-        ("spender_count", _c_int64_p),
-        ("assignment", _c_int64_p),
+        ("scorer_sizes", _ptr),
+        # scorer per-txid state: the adapters' own buffers, written in
+        # place. pmat is the RowMatrix arena; slot[txid] is the arena
+        # row of txid's vector (-1 dead). Free rows are all-zero; the
+        # kernel binds one per placed txid (free stack first, then the
+        # never-used rows) inside the room the driver reserved.
+        ("pmat", _ptr),
+        ("slot", _ptr),
+        ("free_rows", _ptr),
+        ("rows_free", ctypes.c_int64),
+        ("rows_resident", ctypes.c_int64),
+        ("arena_rows", ctypes.c_int64),
+        ("min_mass", _ptr),
+        ("spender_count", _ptr),
+        ("assignment", _ptr),
         ("n_placed", ctypes.c_int64),
         ("rows_cap", ctypes.c_int64),
         ("dropped_mass", ctypes.c_double),
         ("truncated_vectors", ctypes.c_int64),
-        # batch input: raw outpoint txids in CSR (one marshal for the
-        # wire and object paths); the kernel deduplicates per tx
+        # batch input: raw outpoint txids in CSR (one form for the wire
+        # and object paths); the kernel deduplicates per tx
         ("n_tx", ctypes.c_int64),
-        ("parents", _c_int64_p),
-        ("par_off", _c_int64_p),
-        # scratch
-        ("raw", _c_double_p),
-        ("touched", _c_int64_p),
-        ("shard_mark", _c_int64_p),
-        ("excl_mark", _c_int64_p),
-        ("sort_mass", _c_double_p),
-        ("sort_shard", _c_int64_p),
-        ("pb_ids", _c_int64_p),
-        ("pb_vals", _c_double_p),
-        ("pb_idx", _c_int64_p),
-        ("dedup", _c_int64_p),
+        ("parents", _ptr),
+        ("par_off", _ptr),
+        # scratch (driver-owned)
+        ("raw", _ptr),
+        ("touched", _ptr),
+        ("shard_mark", _ptr),
+        ("excl_mark", _ptr),
+        ("sort_mass", _ptr),
+        ("sort_shard", _ptr),
+        ("pb_ids", _ptr),
+        ("pb_vals", _ptr),
+        ("pb_idx", _ptr),
+        ("dedup", _ptr),
         ("dedup_cap", ctypes.c_int64),
-        # results
+        # progress (0 per batch; a KERN_CAPACITY call resumes at it)
+        # and results
         ("n_done", ctypes.c_int64),
+        ("dedup_need", ctypes.c_int64),
         ("error_txid", ctypes.c_int64),
         ("error_parent", ctypes.c_int64),
     ]
 
 
 class VState(ctypes.Structure):
-    """Mirror of the ``VState`` struct in ``_kernel.c`` (same order)."""
+    """Mirror of the ``VState`` struct in ``_kernel.c`` (same order).
+
+    One instance per validation driver; the batch columns and result
+    arrays are the driver's own resident buffers.
+    """
 
     _fields_ = [
-        # batch
+        # batch (the wire columns, copied into driver buffers)
         ("n_tx", ctypes.c_int64),
         ("first_txid", ctypes.c_int64),
         ("horizon_start", ctypes.c_int64),
-        ("parents", _c_int64_p),
-        ("indexes", _c_int32_p),
-        ("in_off", _c_int64_p),
-        ("n_outputs", _c_int32_p),
-        # mask store
-        ("masks", _c_int64_p),
-        # result buffers
-        ("undo_txid", _c_int64_p),
-        ("undo_mask", _c_int64_p),
-        ("released", _c_int64_p),
+        ("parents", _ptr),
+        ("indexes", _ptr),
+        ("n_inputs", _ptr),
+        ("n_outputs", _ptr),
+        ("track_behind", ctypes.c_int64),
+        # mask store (the engine's MaskMap buffer)
+        ("masks", _ptr),
+        # result buffers (in_off is built by the kernel)
+        ("in_off", _ptr),
+        ("undo_txid", _ptr),
+        ("undo_mask", _ptr),
+        ("released", _ptr),
+        ("behind", _ptr),
         # results
         ("n_undo", ctypes.c_int64),
         ("n_released", ctypes.c_int64),
+        ("n_behind", ctypes.c_int64),
         ("tracked_delta", ctypes.c_int64),
         ("error_txid", ctypes.c_int64),
         ("error_parent", ctypes.c_int64),

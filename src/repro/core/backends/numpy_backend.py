@@ -12,15 +12,17 @@ two changes:
    unchanged python code paths. All O(n_shards) state (shard sizes, the
    load proxy's lazy heaps) stays in plain python lists - ``heapq`` and
    the handoff code require real lists - and is copied into the
-   kernel's typed scratch before each batch and back after
-   (O(n_shards + heap) per *batch*, irrelevant at batch sizes the
-   service uses).
+   kernel's scratch before each batch and back after (O(n_shards +
+   heap) per *batch*, a few slice assignments). The kernel state
+   itself is resident: each placer's :class:`_KernelDriver` and each
+   engine's :class:`_ValidationDriver` build their struct once.
 
 2. **The hot loop is the compiled kernel, always.** Every batch
    reaches ``_kernel.c`` as one raw-outpoint CSR - a served batch as
-   ``np.frombuffer`` views of its wire columns
-   (:meth:`_ValidationDriver.columns`), a placer-level ``Transaction``
-   list through :func:`parent_csr` - and the kernel runs the same T2S
+   its wire columns copied into the validation driver's buffers, with
+   the offsets built in C (:meth:`_ValidationDriver.validate`), a
+   placer-level ``Transaction`` list through :func:`parent_csr` - and
+   the kernel runs the same T2S
    recurrence + pruned fitness argmax + proxy update the pure-python
    fused loop performs, placement-for-placement and bit-for-bit (the
    differential tests compare full exported state). There is no
@@ -37,6 +39,7 @@ so the dense row representation can use exact 0.0 for "shard absent".
 from __future__ import annotations
 
 import ctypes
+import weakref
 from typing import Any
 
 import numpy as np
@@ -72,19 +75,6 @@ from repro.core.scorer import DEFAULT_SUPPORT_CAP, parse_support_cap
 from repro.core.spec import numpy_refusal
 from repro.core.t2s import T2SScorer, TopKT2SScorer
 from repro.errors import ConfigurationError, EngineError, PlacementError
-
-_c_double_p = ctypes.POINTER(ctypes.c_double)
-_c_int64_p = ctypes.POINTER(ctypes.c_int64)
-_c_int32_p = ctypes.POINTER(ctypes.c_int32)
-
-
-def _dptr(arr: np.ndarray):
-    return arr.ctypes.data_as(_c_double_p)
-
-
-def _iptr(arr: np.ndarray):
-    return arr.ctypes.data_as(_c_int64_p)
-
 
 class _NumpyStateMixin:
     """Typed-array per-transaction state for a T2S scorer.
@@ -238,96 +228,59 @@ def parent_csr(batch) -> "tuple[np.ndarray, np.ndarray]":
     return parents, in_off
 
 
+def _rebind(state: ctypes.Structure, bound: dict, owners) -> None:
+    """Point each ``(field, array)`` of ``owners`` at its numpy array,
+    reading the address only when the array object differs from the
+    one the field was last bound to. Buffers are replaced, never moved
+    in place (typed-vector growth, arena growth, snapshot restore and
+    the lease hand-off all install a new array), so identity is the
+    whole staleness check. ``bound`` holds weak references: a replaced
+    buffer is freed as soon as its owner drops it (its field is rebound
+    before the next kernel call), and a dead reference never matches."""
+    for name, arr in owners:
+        ref = bound[name]
+        if ref is None or ref() is not arr:
+            bound[name] = weakref.ref(arr)
+            setattr(state, name, arr.ctypes.data)
+
+
+def _c_array(ctype, size: int, fill=0):
+    return (ctype * size)(*([fill] * size if fill else ()))
+
+
 class _KernelDriver:
-    """Owns the ctypes KState, the scratch buffers, and the per-batch
-    copy-in/copy-out against one placer instance."""
+    """One placer's resident kernel state: a ``KState`` built once, and
+    the kernel's scratch.
+
+    Configuration and the scratch pointers are written when the driver
+    is built (and when a scratch buffer grows); the pointers into the
+    scorer's and placer's per-txid arrays and the batch CSR go through
+    :func:`_rebind`, so a batch re-reads an address only when its
+    buffer was replaced. The python objects stay the source of truth
+    between batches: the O(n_shards) state - proxy loads, clock and
+    lazy heaps, both shard-size lists and the size extremes - is copied
+    into the struct and its ctypes scratch before each call and back
+    after, by slice assignment.
+    """
 
     def __init__(self, placer: "_KernelPlacer") -> None:
         self.placer = placer
-        k = placer.n_shards
-        proxy = placer._proxy
-        self.k = k
-        self.heap_cap = max(k, proxy._compact_limit + 1) + 8
-        self.zero_cap = max(4 * k, 256)
-        self.scaled = np.zeros(k, dtype=np.float64)
-        self.heap_vals = np.zeros(self.heap_cap, dtype=np.float64)
-        self.heap_idx = np.zeros(self.heap_cap, dtype=np.int64)
-        self.zero_heap = np.zeros(self.zero_cap, dtype=np.int64)
-        self.strat_sizes = np.zeros(k, dtype=np.int64)
-        self.scorer_sizes = np.zeros(k, dtype=np.int64)
-        self.raw = np.zeros(k, dtype=np.float64)
-        self.touched = np.zeros(k, dtype=np.int64)
-        self.shard_mark = np.full(k, -1, dtype=np.int64)
-        self.excl_mark = np.full(k, -1, dtype=np.int64)
-        self.sort_mass = np.zeros(k, dtype=np.float64)
-        self.sort_shard = np.zeros(k, dtype=np.int64)
-        self.pb_vals = np.zeros(self.heap_cap, dtype=np.float64)
-        self.pb_idx = np.zeros(self.heap_cap, dtype=np.int64)
-        self.pb_ids = np.zeros(self.zero_cap, dtype=np.int64)
-        self.dedup = np.zeros(64, dtype=np.int64)
-
-    def _grow_heaps(self) -> None:
-        self.heap_cap *= 2
-        self.zero_cap *= 2
-        self.heap_vals = np.zeros(self.heap_cap, dtype=np.float64)
-        self.heap_idx = np.zeros(self.heap_cap, dtype=np.int64)
-        self.zero_heap = np.zeros(self.zero_cap, dtype=np.int64)
-        self.pb_vals = np.zeros(self.heap_cap, dtype=np.float64)
-        self.pb_idx = np.zeros(self.heap_cap, dtype=np.int64)
-        self.pb_ids = np.zeros(self.zero_cap, dtype=np.int64)
-
-    def run(self, parents, par_off, n_tx) -> None:
-        """Run the kernel over a raw-outpoint CSR, committing state.
-
-        ``parents`` holds every outpoint's txid (undeduplicated; the
-        kernel deduplicates per transaction), ``par_off`` the
-        per-transaction offsets. Raises :class:`PlacementError` (with
-        all prior transactions committed, matching the python loop) on
-        an invalid input.
-        """
-        placer = self.placer
         scorer = placer.scorer
         proxy = placer._proxy
-        lib = load_kernel()
-        mat: RowMatrix = scorer._p_prime
-        min_mass: FloatVector = scorer._min_mass
-        spender: IntVector = scorer._spender_count
-        assignment: IntVector = placer._assignment
-        n_placed = len(assignment)
-        needed = n_placed + n_tx
-        mat.claim(n_placed, needed)
-        min_mass._grow_to(needed)
-        spender._grow_to(needed)
-        assignment._grow_to(needed)
-
-        # ---- copy python-side state into the typed scratch ----
-        heap = proxy._heap
-        zero_heap = proxy._zero_heap
-        while len(heap) > self.heap_cap or len(zero_heap) > self.zero_cap:
-            self._grow_heaps()
-        self.scaled[:] = proxy._scaled
-        if heap:
-            hv, hi = zip(*heap)
-            self.heap_vals[: len(heap)] = hv
-            self.heap_idx[: len(heap)] = hi
-        if zero_heap:
-            self.zero_heap[: len(zero_heap)] = zero_heap
-        self.strat_sizes[:] = placer._shard_sizes
-        self.scorer_sizes[:] = scorer._shard_sizes
-        max_in = int(np.diff(par_off).max())
-        if max_in > len(self.dedup):
-            self.dedup = np.zeros(
-                max(max_in, 2 * len(self.dedup)), dtype=np.int64
-            )
-
-        st = KState()
-        st.n_shards = self.k
+        k = placer.n_shards
+        self._lib = load_kernel()
+        st = self.state = KState()
+        self._ref = ctypes.byref(st)
+        self._bound = dict.fromkeys(name for name, _ in KState._fields_)
+        self._scratch: dict[str, ctypes.Array] = {}
+        st.n_shards = k
         st.alpha = scorer.alpha
         st.one_minus_alpha = scorer._scale
         st.epsilon = scorer.prune_epsilon
         st.weight = placer.fitness.latency_weight
         cap = scorer.support_cap
-        st.support_cap = -1 if cap is None else cap
+        self._bounded = cap is not None
+        st.support_cap = cap if self._bounded else -1
         st.has_scale = 1 if scorer._scale > 0.0 else 0
         st.has_eps = 1 if scorer.prune_epsilon > 0.0 else 0
         st.decay = proxy._decay
@@ -337,102 +290,169 @@ class _KernelDriver:
         st.block = proxy._block
         st.renorm_span = proxy._renorm_span
         st.compact_limit = proxy._compact_limit
-        st.heap_len = len(heap)
-        st.heap_cap = self.heap_cap
-        st.zero_len = len(zero_heap)
-        st.zero_cap = self.zero_cap
+        c_double, c_int64 = ctypes.c_double, ctypes.c_int64
+        self.scaled = self._attach("scaled", _c_array(c_double, k))
+        self.strat_sizes = self._attach("strat_sizes", _c_array(c_int64, k))
+        self.scorer_sizes = self._attach(
+            "scorer_sizes", _c_array(c_int64, k)
+        )
+        self._attach("raw", _c_array(c_double, k))
+        self._attach("touched", _c_array(c_int64, k))
+        self._attach("shard_mark", _c_array(c_int64, k, -1))
+        self._attach("excl_mark", _c_array(c_int64, k, -1))
+        self._attach("sort_mass", _c_array(c_double, k))
+        self._attach("sort_shard", _c_array(c_int64, k))
+        self._size_heaps(max(k, proxy._compact_limit + 1) + 8, max(4 * k, 256))
+        self._size_dedup(64)
+
+    def _attach(self, name: str, buffer: ctypes.Array) -> ctypes.Array:
+        """Own ``buffer`` as the scratch behind pointer field ``name``."""
+        self._scratch[name] = buffer
+        setattr(self.state, name, ctypes.addressof(buffer))
+        return buffer
+
+    def _size_heaps(self, heap_cap: int, zero_cap: int) -> None:
+        """(Re)allocate the heap scratch, keeping the entries the kernel
+        left in the old buffers (a ``KERN_CAPACITY`` call resumes from
+        them; between batches the copy-in overwrites them anyway)."""
+        st = self.state
+        c_double, c_int64 = ctypes.c_double, ctypes.c_int64
+        heap_vals = _c_array(c_double, heap_cap)
+        heap_idx = _c_array(c_int64, heap_cap)
+        zero_heap = _c_array(c_int64, zero_cap)
+        if st.heap_cap:
+            hl = min(st.heap_len, heap_cap)
+            zl = min(st.zero_len, zero_cap)
+            heap_vals[:hl] = self.heap_vals[:hl]
+            heap_idx[:hl] = self.heap_idx[:hl]
+            zero_heap[:zl] = self.zero_heap[:zl]
+        self.heap_vals = self._attach("heap_vals", heap_vals)
+        self.heap_idx = self._attach("heap_idx", heap_idx)
+        self.zero_heap = self._attach("zero_heap", zero_heap)
+        self._attach("pb_vals", _c_array(c_double, heap_cap))
+        self._attach("pb_idx", _c_array(c_int64, heap_cap))
+        self._attach("pb_ids", _c_array(c_int64, zero_cap))
+        st.heap_cap = heap_cap
+        st.zero_cap = zero_cap
+
+    def _size_dedup(self, cap: int) -> None:
+        self._attach("dedup", _c_array(ctypes.c_int64, cap))
+        self.state.dedup_cap = cap
+
+    def run(self, parents, par_off, n_tx) -> None:
+        """Run the kernel over a raw-outpoint CSR, committing state.
+
+        ``parents`` holds every outpoint's txid (undeduplicated; the
+        kernel deduplicates per transaction), ``par_off`` the
+        per-transaction offsets (at least ``n_tx + 1`` of them).
+        Raises :class:`PlacementError` (with all prior transactions
+        committed, matching the python loop) on an invalid input.
+        """
+        placer = self.placer
+        scorer = placer.scorer
+        proxy = placer._proxy
+        st = self.state
+        mat: RowMatrix = scorer._p_prime
+        min_mass: FloatVector = scorer._min_mass
+        spender: IntVector = scorer._spender_count
+        assignment: IntVector = placer._assignment
+        n_placed = assignment._n
+        needed = n_placed + n_tx
+        if needed > mat.slot.size:
+            mat._grow_to(needed)
+        mat.reserve(n_tx)
+        for vector in (min_mass, spender, assignment):
+            if needed > vector.arr.size:
+                vector._grow_to(needed)
+        _rebind(
+            st,
+            self._bound,
+            (
+                ("pmat", mat.arr),
+                ("slot", mat.slot),
+                ("free_rows", mat._free),
+                ("min_mass", min_mass.arr),
+                ("spender_count", spender.arr),
+                ("assignment", assignment.arr),
+                ("parents", parents),
+                ("par_off", par_off),
+            ),
+        )
+
+        # ---- copy python-side state into the struct and its scratch ----
+        heap = proxy._heap
+        zero_heap = proxy._zero_heap
+        heap_len = len(heap)
+        zero_len = len(zero_heap)
+        while heap_len > st.heap_cap or zero_len > st.zero_cap:
+            self._size_heaps(2 * st.heap_cap, 2 * st.zero_cap)
+        self.scaled[:] = proxy._scaled
+        if heap_len:
+            values, shards = zip(*heap)
+            self.heap_vals[:heap_len] = values
+            self.heap_idx[:heap_len] = shards
+        self.zero_heap[:zero_len] = zero_heap
+        self.strat_sizes[:] = placer._shard_sizes
+        self.scorer_sizes[:] = scorer._shard_sizes
+        st.heap_len = heap_len
+        st.zero_len = zero_len
         st.step = proxy._step
         st.offset = proxy._offset
         st.pscale = proxy._scale
         st.min_size_val = placer._min_shard_size
         st.min_size_count = placer._min_size_count
         st.max_size_val = placer._max_shard_size
+        st.rows_free = mat.rows_free
+        st.rows_resident = mat.rows_resident
+        st.arena_rows = mat.arr.shape[0]
         st.n_placed = n_placed
         st.rows_cap = needed
         st.dropped_mass = scorer._dropped_mass
         st.truncated_vectors = scorer._truncated_vectors
+        st.n_tx = n_tx
+        st.n_done = 0
 
-        st.scaled = _dptr(self.scaled)
-        st.heap_vals = _dptr(self.heap_vals)
-        st.heap_idx = _iptr(self.heap_idx)
-        st.zero_heap = _iptr(self.zero_heap)
-        st.strat_sizes = _iptr(self.strat_sizes)
-        st.scorer_sizes = _iptr(self.scorer_sizes)
-        st.pmat = _dptr(mat.arr)
-        st.slot = mat.slot.ctypes.data_as(_c_int32_p)
-        st.min_mass = _dptr(min_mass.arr)
-        st.spender_count = _iptr(spender.arr)
-        st.assignment = _iptr(assignment.arr)
-        st.raw = _dptr(self.raw)
-        st.touched = _iptr(self.touched)
-        st.shard_mark = _iptr(self.shard_mark)
-        st.excl_mark = _iptr(self.excl_mark)
-        st.sort_mass = _dptr(self.sort_mass)
-        st.sort_shard = _iptr(self.sort_shard)
-        st.pb_ids = _iptr(self.pb_ids)
-        st.pb_vals = _dptr(self.pb_vals)
-        st.pb_idx = _iptr(self.pb_idx)
-        st.dedup = _iptr(self.dedup)
-        st.dedup_cap = len(self.dedup)
-        st.parents = _iptr(parents)
-
-        done = 0
         while True:
-            st.n_tx = n_tx - done
-            st.par_off = _iptr(par_off[done:])
-            rc = lib.place_batch(ctypes.byref(st))
-            done += st.n_done
-            if rc == KERN_CAPACITY:
-                # Heap scratch too small for the next transaction (the
-                # zero cohort accumulates stale duplicates between
-                # compactions). Copy the heap contents into bigger
-                # buffers and resume exactly where the kernel stopped.
-                hl, zl = st.heap_len, st.zero_len
-                old_hv = self.heap_vals[:hl].copy()
-                old_hi = self.heap_idx[:hl].copy()
-                old_zh = self.zero_heap[:zl].copy()
-                self._grow_heaps()
-                self.heap_vals[:hl] = old_hv
-                self.heap_idx[:hl] = old_hi
-                self.zero_heap[:zl] = old_zh
-                st.heap_cap = self.heap_cap
-                st.zero_cap = self.zero_cap
-                st.heap_vals = _dptr(self.heap_vals)
-                st.heap_idx = _iptr(self.heap_idx)
-                st.zero_heap = _iptr(self.zero_heap)
-                st.pb_vals = _dptr(self.pb_vals)
-                st.pb_idx = _iptr(self.pb_idx)
-                st.pb_ids = _iptr(self.pb_ids)
-                continue
-            break
+            rc = self._lib.place_batch(self._ref)
+            if rc != KERN_CAPACITY:
+                break
+            # A scratch buffer is too small for the next transaction
+            # (the zero cohort accumulates stale duplicates between
+            # compactions; a wide fan-in outgrows dedup). Grow it and
+            # resume exactly where the kernel stopped.
+            if st.dedup_need:
+                self._size_dedup(max(st.dedup_need, 2 * st.dedup_cap))
+            else:
+                self._size_heaps(2 * st.heap_cap, 2 * st.zero_cap)
 
         # ---- copy kernel results back into python-side state ----
-        proxy._scaled[:] = self.scaled.tolist()
-        proxy._heap[:] = list(
-            zip(
-                self.heap_vals[: st.heap_len].tolist(),
-                self.heap_idx[: st.heap_len].tolist(),
-            )
+        # (a ctypes slice builds its list in C; iterating the array
+        # itself goes item by item through the sequence protocol)
+        heap_len = st.heap_len
+        proxy._scaled[:] = self.scaled[:]
+        proxy._heap[:] = zip(
+            self.heap_vals[:heap_len], self.heap_idx[:heap_len]
         )
-        proxy._zero_heap[:] = self.zero_heap[: st.zero_len].tolist()
+        proxy._zero_heap[:] = self.zero_heap[: st.zero_len]
         proxy._step = st.step
         proxy._offset = st.offset
         proxy._scale = st.pscale
-        placer._shard_sizes[:] = self.strat_sizes.tolist()
+        placer._shard_sizes[:] = self.strat_sizes[:]
         placer._min_shard_size = st.min_size_val
         placer._min_size_count = st.min_size_count
         placer._max_shard_size = st.max_size_val
-        scorer._shard_sizes[:] = self.scorer_sizes.tolist()
-        if cap is not None:
+        scorer._shard_sizes[:] = self.scorer_sizes[:]
+        if self._bounded:
             scorer._dropped_mass = st.dropped_mass
             scorer._truncated_vectors = st.truncated_vectors
+        mat.rows_free = st.rows_free
+        mat.rows_resident = st.rows_resident
         new_n = st.n_placed
         if new_n < needed:
-            mat.reset(slice(new_n, needed))  # rows a rejection left unused
-        mat._n = new_n
-        min_mass._n = new_n
-        spender._n = new_n
-        assignment._n = new_n
+            # The kernel binds a row only for a transaction it is
+            # placing; an internal failure can leave that one bound.
+            mat.reset(slice(new_n, needed))
+        mat._n = min_mass._n = spender._n = assignment._n = new_n
 
         if rc == KERN_INVALID_INPUT:
             parent = st.error_parent
@@ -506,19 +526,22 @@ class _KernelPlacer:
         return shards
 
     def place_batch_raw(self, parents, in_off, n_tx) -> list[int]:
-        """Place a raw-outpoint CSR batch (the kernel's view of a wire
-        batch, or :func:`parent_csr`): ``parents`` holds every
-        outpoint's txid, ``in_off`` the per-transaction offsets. Dense
-        txid order is the caller's contract (the engine checks it)."""
+        """Place a raw-outpoint CSR batch (a validation driver's buffers
+        after :meth:`_ValidationDriver.validate`, or
+        :func:`parent_csr`): ``parents`` (int64) holds every outpoint's
+        txid, ``in_off`` (int64, at least ``n_tx + 1`` entries) the
+        per-transaction offsets. Dense txid order is the caller's
+        contract (the engine checks it)."""
         scorer = self.scorer
         if scorer._pending is not None:
             raise PlacementError(
                 f"transaction {scorer._pending} was added but never placed"
             )
-        batch_start = len(self._assignment)
-        if n_tx:
-            self._driver.run(parents, in_off, n_tx)
-        return self._assignment[batch_start:]
+        if not n_tx:
+            return []
+        batch_start = self._assignment._n
+        self._driver.run(parents, in_off, n_tx)
+        return self._assignment.arr[batch_start : batch_start + n_tx].tolist()
 
     def validation_driver(self) -> "_ValidationDriver":
         """The kernel batch-validation driver for the engine's
@@ -593,26 +616,80 @@ class NumpyTopKOptChainPlacer(_KernelPlacer, TopKOptChainPlacer):
 class _ValidationDriver:
     """Kernel-resident batch validation against a :class:`MaskMap`.
 
-    The compiled twin of ``PlacementEngine._apply_inputs``: views a
-    :class:`~repro.service.wire.WireBatch` as the raw-outpoint CSR
-    (:meth:`columns`), runs ``validate_batch`` in C against the
-    engine's mask store, and maps error codes back to the byte-exact
-    :class:`EngineError` messages. The same views then feed
-    :meth:`_KernelPlacer.place_batch_raw`.
+    The compiled twin of ``PlacementEngine._apply_inputs``: copies a
+    :class:`~repro.service.wire.WireBatch`'s columns into its own
+    resident buffers, runs ``validate_batch`` in C against the engine's
+    mask store through a ``VState`` built once, and maps error codes
+    back to the byte-exact :class:`EngineError` messages. The kernel
+    also builds the batch's CSR offsets, so after :meth:`validate`
+    ``parents`` and ``in_off`` are what
+    :meth:`_KernelPlacer.place_batch_raw` reads next - the same
+    buffers every batch until one has to grow.
     """
 
     def __init__(self) -> None:
         self._lib = load_kernel()  # the placer verified availability
+        self.state = VState()
+        self._ref = ctypes.byref(self.state)
+        self._bound = dict.fromkeys(name for name, _ in VState._fields_)
+        self._size_batch(256, 1024)
+
+    def _size_batch(self, n_tx: int, n_inputs: int) -> None:
+        """(Re)allocate the column and result buffers for batches of up
+        to ``n_tx`` transactions and ``n_inputs`` outpoints. Every entry
+        is written before it is read (columns by :meth:`validate`, the
+        rest by the kernel), so they start uninitialized: untouched
+        headroom costs address space, not resident memory."""
+        self._columns = ()  # release the old buffers before allocating
+        self.tx_cap = n_tx
+        self.inputs_cap = n_inputs
+        self.parents = np.empty(n_inputs, dtype=np.int64)
+        self.indexes = np.empty(n_inputs, dtype=np.int32)
+        self.n_inputs = np.empty(n_tx, dtype=np.uint32)
+        self.n_outputs = np.empty(n_tx, dtype=np.int32)
+        self.in_off = np.empty(n_tx + 1, dtype=np.int64)
+        self.undo_txid = np.empty(n_inputs, dtype=np.int64)
+        self.undo_mask = np.empty(n_inputs, dtype=np.int64)
+        self.released = np.empty(n_inputs + n_tx, dtype=np.int64)
+        self.behind = np.empty(n_inputs, dtype=np.int64)
+        # Byte-level views typed like the wire columns ('Q' / 'I'):
+        # assigning a column is one memcpy, the u64/u32 bits landing
+        # unchanged in the int64/int32 buffers the kernel range-checks.
+        self._columns = tuple(
+            memoryview(arr).cast("B").cast(code)
+            for arr, code in (
+                (self.parents, "Q"),
+                (self.indexes, "I"),
+                (self.n_inputs, "I"),
+                (self.n_outputs, "I"),
+            )
+        )
+        _rebind(
+            self.state,
+            self._bound,
+            (
+                ("parents", self.parents),
+                ("indexes", self.indexes),
+                ("n_inputs", self.n_inputs),
+                ("n_outputs", self.n_outputs),
+                ("in_off", self.in_off),
+                ("undo_txid", self.undo_txid),
+                ("undo_mask", self.undo_mask),
+                ("released", self.released),
+                ("behind", self.behind),
+            ),
+        )
 
     @staticmethod
     def columns(batch) -> tuple:
-        """``(parents, indexes, in_off, n_outputs)``: the kernel's view
-        of a :class:`~repro.service.wire.WireBatch`, computed once per
-        engine batch for validation and placement alike.
-        ``np.frombuffer`` views the columns where they lie (the wire's
-        u64/u32 read as int64/int32 - the kernel range-checks them and
-        loads through ``memcpy``, so payload offsets need no alignment);
-        only ``in_off`` is built, by one ``cumsum``.
+        """``(parents, indexes, in_off, n_outputs)``: the raw-outpoint
+        CSR the two kernels read for a
+        :class:`~repro.service.wire.WireBatch`, as numpy arrays - the
+        columns viewed where they lie (the wire's u64/u32 read as
+        int64/int32; the kernels range-check them) and the offsets
+        summed from ``n_inputs``. :meth:`validate` makes the same
+        arrays in its resident buffers, offsets built in C; this form
+        needs no kernel.
         """
         in_off = np.zeros(batch.n_txs + 1, dtype=np.int64)
         np.cumsum(np.frombuffer(batch.n_inputs, dtype=np.uint32), out=in_off[1:])
@@ -624,44 +701,59 @@ class _ValidationDriver:
         )
 
     def validate(
-        self, masks: MaskMap, first_txid: int, columns, *, horizon_start: int
+        self,
+        masks: MaskMap,
+        first_txid: int,
+        batch,
+        *,
+        horizon_start: int,
+        track_dirty: bool = False,
     ):
-        """Validate + commit one batch (its :meth:`columns`, txids dense
-        from ``first_txid``) against ``masks`` in the kernel.
+        """Validate + commit one
+        :class:`~repro.service.wire.WireBatch` (txids dense from
+        ``first_txid``) against ``masks`` in the kernel.
 
-        Returns ``(released, undo_txids)`` on success - ``released``
-        in python event order, ``undo_txids`` the touched parents (or
-        ``None`` when no input spent anything) - or ``None`` when the
-        batch needs the python journal (arbitrary-precision masks,
-        >62-output transactions), with the store rolled back untouched.
-        Raises :class:`EngineError` with the python journal's exact
-        message on an invalid batch, nothing committed.
+        Returns ``(released, touched)`` on success - ``released`` in
+        python event order, ``touched`` (only with ``track_dirty``,
+        else ``None``) every parent whose state the batch changes: the
+        spent ones and those spent behind the horizon, whose spender
+        count still moves - or ``None`` when the batch needs the python
+        journal (arbitrary-precision masks, >62-output transactions),
+        with the store rolled back untouched. Raises
+        :class:`EngineError` with the python journal's exact message on
+        an invalid batch, nothing committed. ``parents`` / ``in_off``
+        hold the batch's CSR on every return.
         """
-        parents, indexes, in_off, n_outputs = columns
-        n_tx = len(n_outputs)
-        masks._grow_to(first_txid + n_tx)
-        total_in = int(in_off[-1])
-        undo_txid = np.empty(total_in, dtype=np.int64)
-        undo_mask = np.empty(total_in, dtype=np.int64)
-        released = np.empty(total_in + n_tx, dtype=np.int64)
-        st = VState()
+        n_tx = batch.n_txs
+        n_in = len(batch.parents)
+        if n_tx > self.tx_cap or n_in > self.inputs_cap:
+            self._size_batch(
+                max(n_tx, 2 * self.tx_cap), max(n_in, 2 * self.inputs_cap)
+            )
+        parents, indexes, n_inputs, n_outputs = self._columns
+        parents[:n_in] = batch.parents
+        indexes[:n_in] = batch.indexes
+        n_inputs[:n_tx] = batch.n_inputs
+        n_outputs[:n_tx] = batch.n_outputs
+        end = first_txid + n_tx
+        if end > masks.arr.size:
+            masks._grow_to(end)
+        st = self.state
+        _rebind(st, self._bound, (("masks", masks.arr),))
         st.n_tx = n_tx
         st.first_txid = first_txid
         st.horizon_start = horizon_start
-        st.parents = _iptr(parents)
-        st.indexes = indexes.ctypes.data_as(_c_int32_p)
-        st.in_off = _iptr(in_off)
-        st.n_outputs = n_outputs.ctypes.data_as(_c_int32_p)
-        st.masks = _iptr(masks.arr)
-        st.undo_txid = _iptr(undo_txid)
-        st.undo_mask = _iptr(undo_mask)
-        st.released = _iptr(released)
-        rc = self._lib.validate_batch(ctypes.byref(st))
+        st.track_behind = track_dirty
+        rc = self._lib.validate_batch(self._ref)
         if rc == VALID_OK:
             masks._count += st.tracked_delta
-            rel = released[: st.n_released].tolist()
-            undo = undo_txid[: st.n_undo] if st.n_undo else None
-            return rel, undo
+            released = self.released[: st.n_released].tolist()
+            if not track_dirty:
+                return released, None
+            return released, (
+                self.undo_txid[: st.n_undo].tolist()
+                + self.behind[: st.n_behind].tolist()
+            )
         if rc == VALID_FALLBACK:
             return None
         txid = st.error_txid

@@ -316,8 +316,9 @@ class PlacementEngine:
         _exclude_release: "frozenset[int] | set[int] | None" = None,
     ) -> list[int]:
         """Place one :class:`~repro.service.wire.WireBatch` - the form
-        every served batch takes. A kernel-validating engine views its
-        columns in C and builds no :class:`Transaction`; python
+        every served batch takes. A kernel-validating engine hands its
+        columns to the validation driver, whose buffers then feed the
+        placement kernel, and builds no :class:`Transaction`; python
         backends and drift-monitored engines (the shadow placer reads
         objects) materialize the batch, as does a kernel ``FALLBACK``.
         Same placements and errors either way.
@@ -333,19 +334,18 @@ class PlacementEngine:
                 f"transactions must arrive in dense stream order: "
                 f"got {first}, expected {self._placer.n_placed}"
             )
-        columns = self._validator.columns(wire_batch)
         mark = len(self._pending_release)
-        if not self._validate_kernel(first, columns):
+        if not self._validate_kernel(first, wire_batch):
             # The kernel rolled everything back: the batch touches
             # arbitrary-precision masks or >62-output transactions.
             # The python journal handles it exactly (rare, cold).
             self._apply_inputs(wire_batch.transactions())
-        parents, _, in_off, _ = columns
+        validator = self._validator
         return self._commit(
             mark,
             _exclude_release,
             lambda: self._placer.place_batch_raw(
-                parents, in_off, wire_batch.n_txs
+                validator.parents, validator.in_off, wire_batch.n_txs
             ),
         )
 
@@ -412,22 +412,23 @@ class PlacementEngine:
                 self._sweep_exclude = None
         return shards
 
-    def _validate_kernel(self, first: int, columns: tuple) -> bool:
+    def _validate_kernel(self, first: int, wire_batch: "WireBatch") -> bool:
         """Kernel-side :meth:`_apply_inputs`; True when it committed."""
+        dirty = self._dirty_parents
         result = self._validator.validate(
             self._remaining,
             first,
-            columns,
+            wire_batch,
             horizon_start=self._horizon_start,
+            track_dirty=dirty is not None,
         )
         if result is None:
             return False
-        released, undo_txids = result
+        released, touched = result
         if self._collect_spent and released:
             self._pending_release.extend(released)
-        dirty = self._dirty_parents
-        if dirty is not None and undo_txids is not None:
-            dirty.update(undo_txids.tolist())
+        if touched:
+            dirty.update(touched)
         return True
 
     # -- checkpointing -----------------------------------------------------
@@ -520,6 +521,11 @@ class PlacementEngine:
         # batch-created parents - restore order handles it).
         undo: list[tuple[int, int]] = []
         record = undo.append
+        # Parents spent behind the horizon, listed only while delta
+        # checkpoints track dirty parents: validation skips them, but
+        # the placement still bumps their spender counts.
+        dirty = self._dirty_parents
+        behind: "list[int] | None" = [] if dirty is not None else None
         try:
             for tx in batch:
                 txid = tx.txid
@@ -541,6 +547,8 @@ class PlacementEngine:
                         # ancestry mass), but no longer validatable -
                         # the horizon traded that bookkeeping away for
                         # bounded memory.
+                        if behind is not None:
+                            behind.append(parent)
                         continue
                     mask = remaining_get(parent)
                     if mask is None:
@@ -578,13 +586,14 @@ class PlacementEngine:
             for key in range(first_txid, next_txid):
                 remaining.pop(key, None)
             raise
-        dirty = self._dirty_parents
-        if dirty is not None and undo:
+        if dirty is not None:
             # The spend journal's keys are exactly the parents this
-            # batch mutated - free dirty tracking for delta
-            # checkpoints (keys at or above the delta base are part of
-            # the serialized tail anyway and filtered out at save).
+            # batch spent within the horizon, ``behind`` the rest -
+            # free dirty tracking for delta checkpoints (keys at or
+            # above the delta base are part of the serialized tail
+            # anyway and filtered out at save).
             dirty.update(key for key, _ in undo)
+            dirty.update(behind)
 
     def _advance_epochs(self) -> None:
         """Run the truncation sweeps for every boundary just crossed."""

@@ -459,8 +459,10 @@ class WireBatch:
     otherwise: every output is a zero-value output). Txids are dense
     from ``first_txid``. ``payloads`` are the raw payloads the batch
     was decoded from, which the write-ahead journal records verbatim.
-    Nothing here needs numpy: the kernel views the columns with
-    ``np.frombuffer``, everything else iterates them.
+    Nothing here needs numpy: the kernel's validation driver copies the
+    columns into its own buffers (one ``memoryview`` slice assignment
+    each, which is why they are typed ``Q`` / ``I`` / ``q``), everything
+    else iterates them.
     """
 
     __slots__ = (

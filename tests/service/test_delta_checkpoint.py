@@ -242,6 +242,28 @@ def horizon_round_trip(tmp_path, stream, strategy):
     assert feed(restored, stream, 2_200, 3_000) == expected[2_200:]
 
 
+@pytest.mark.parametrize(
+    "strategy",
+    ["optchain", pytest.param("optchain:backend=numpy", marks=needs_kernel)],
+)
+def test_horizon_delta_restores_every_field(tmp_path, stream, strategy):
+    """A spend of a parent behind the horizon is accepted unvalidated
+    but still moves the parent's spender count, so the delta must carry
+    that parent: the restored engine equals the live one field for
+    field, not only in its next placements."""
+    base = tmp_path / "fields.snap"
+    engine = build(strategy, epoch_length=300, horizon_epochs=2)
+    feed(engine, stream, 0, 1_000)
+    engine.checkpoint(base, track_delta=True)
+    feed(engine, stream, 1_000, 2_200)
+    engine.checkpoint(base, delta=True)
+
+    restored = load_engine_snapshot(base)
+    assert restored.horizon_start > 0
+    assert restored.placer.export_state() == engine.placer.export_state()
+    assert dict(restored._remaining.items()) == dict(engine._remaining.items())
+
+
 def test_compressed_delta(tmp_path, stream):
     base = tmp_path / "packed.snap"
     engine = build()
