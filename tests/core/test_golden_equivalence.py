@@ -11,6 +11,8 @@ through both and compare the full assignment.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core._seed_reference import (
     SeedGreedyPlacer,
@@ -19,7 +21,7 @@ from repro.core._seed_reference import (
 )
 from repro.core.baselines import GreedyPlacer, T2SOnlyPlacer
 from repro.core.l2s import ShardLatencyModel
-from repro.core.optchain import OptChainPlacer
+from repro.core.optchain import OptChainPlacer, TopKOptChainPlacer
 from repro.core.placement import make_placer
 from repro.datasets.synthetic import GeneratorConfig, synthetic_stream
 
@@ -86,6 +88,125 @@ class TestOptChainGolden:
         for tx in golden_stream[half:]:
             fast.place(tx)
         assert fast.assignment() == reference
+
+
+def _static_models(n_shards):
+    return [
+        ShardLatencyModel(lambda_c=10.0, lambda_v=1.0 / (1.0 + j))
+        for j in range(n_shards)
+    ]
+
+
+@pytest.mark.parametrize("n_shards", [4, 16])
+@pytest.mark.parametrize("l2s_mode", ["accept_commit", "accept_accept"])
+@pytest.mark.parametrize("provider", ["proxy", "static"])
+class TestAcceptanceModesGolden:
+    """The acceptance-CDF L2S readings score through the estimator's
+    per-shard vector; batch and per-transaction placement both match
+    the seed's per-transaction estimator rebuild."""
+
+    @staticmethod
+    def _placers(n_shards, l2s_mode, provider):
+        if provider == "proxy":
+            kwargs = {}
+        else:
+            models = _static_models(n_shards)
+            kwargs = {"latency_provider": lambda: models}
+        return (
+            OptChainPlacer(n_shards, l2s_mode=l2s_mode, **kwargs),
+            SeedOptChainPlacer(n_shards, l2s_mode=l2s_mode, **kwargs),
+        )
+
+    def test_batch(self, golden_stream, n_shards, l2s_mode, provider):
+        fast, seed = self._placers(n_shards, l2s_mode, provider)
+        assert fast.place_stream(golden_stream) == seed.place_stream(
+            golden_stream
+        )
+
+    def test_per_transaction(
+        self, golden_stream, n_shards, l2s_mode, provider
+    ):
+        fast, seed = self._placers(n_shards, l2s_mode, provider)
+        placed = [fast.place(tx) for tx in golden_stream]
+        assert placed == seed.place_stream(golden_stream)
+
+
+@pytest.mark.parametrize("n_shards", [4, 16])
+@pytest.mark.parametrize("provider", ["proxy", None])
+def test_place_observed_prefers_the_seed_choice(
+    golden_stream, n_shards, provider
+):
+    """Fed the seed's own placements, the shadow's preference at every
+    step is the shard the seed chose there."""
+    kwargs = {} if provider else {"latency_provider": None}
+    reference = SeedOptChainPlacer(n_shards, **kwargs).place_stream(
+        golden_stream
+    )
+    shadow = OptChainPlacer(n_shards, **kwargs)
+    preferred = [
+        shadow.place_observed(tx, shard)
+        for tx, shard in zip(golden_stream, reference)
+    ]
+    assert preferred == reference
+    assert shadow.assignment() == reference
+
+
+_ENTRY_POINTS = st.lists(
+    st.tuples(
+        st.sampled_from(["batch", "place", "observed", "force"]),
+        st.integers(min_value=1, max_value=700),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: OptChainPlacer(k),
+        lambda k: TopKOptChainPlacer(k, support_cap=3),
+    ],
+    ids=["exact", "topk"],
+)
+@settings(
+    max_examples=20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(ops=_ENTRY_POINTS)
+def test_entry_points_mix_like_one_stream(golden_stream, build, ops):
+    """Any interleaving of batch sizes, ``place``, ``place_observed``
+    and ``force_place`` (the latter two fed the stream's own choices)
+    places exactly what one ``place_stream`` places."""
+    n_shards = 16
+    reference = build(n_shards)
+    expected = reference.place_stream(golden_stream)
+    placer = build(n_shards)
+    cursor = 0
+    step = 0
+    while cursor < len(golden_stream):
+        kind, size = ops[step % len(ops)]
+        step += 1
+        chunk = golden_stream[cursor : cursor + size]
+        if kind == "batch":
+            assert placer.place_batch(chunk) == expected[
+                cursor : cursor + len(chunk)
+            ]
+        elif kind == "place":
+            assert placer.place(chunk[0]) == expected[cursor]
+            chunk = chunk[:1]
+        elif kind == "observed":
+            tx = chunk[0]
+            assert placer.place_observed(tx, expected[cursor]) == (
+                expected[cursor]
+            )
+            chunk = chunk[:1]
+        else:
+            for tx in chunk:
+                placer.force_place(tx, expected[tx.txid])
+        cursor += len(chunk)
+    assert placer.assignment() == expected
 
 
 @pytest.mark.parametrize("n_shards", [4, 16])
