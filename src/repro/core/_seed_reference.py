@@ -196,7 +196,7 @@ class SeedOptChainPlacer(PlacementStrategy):
             tx.txid, tx.input_txids, len(tx.outputs)
         )
         if self.latency_provider is None:
-            shard = self._t2s_argmax(t2s_scores)
+            shard = self._t2s_scan(t2s_scores)
         else:
             models = self.latency_provider()
             if len(models) != self.n_shards:
@@ -218,7 +218,7 @@ class SeedOptChainPlacer(PlacementStrategy):
         if self._proxy is not None:
             self._proxy.record(shard)
 
-    def _t2s_argmax(self, sparse: dict[int, float]) -> int:
+    def _t2s_scan(self, sparse: dict[int, float]) -> int:
         sizes = self.scorer.shard_sizes
         best = min(range(self.n_shards), key=sizes.__getitem__)
         best_score = sparse.get(best, 0.0)

@@ -65,7 +65,6 @@ from repro.core.backends.ckernel import (
     load_kernel,
 )
 from repro.core.optchain import (
-    _PATH_FUSED,
     PAPER_LATENCY_WEIGHT,
     USE_LOAD_PROXY,
     OptChainPlacer,
@@ -483,7 +482,9 @@ class _KernelPlacer:
         """Refuse what the kernel cannot place; set up its state."""
         reason = numpy_refusal(self.name)
         if reason is None and (
-            self._path != _PATH_FUSED or not self.scorer._spenders_divisor
+            self._proxy is None
+            or self.l2s_mode != "shard_load"
+            or not self.scorer._spenders_divisor
         ):
             reason = (
                 "backend 'numpy' places only the fused configuration "
@@ -504,6 +505,12 @@ class _KernelPlacer:
 
     def place(self, tx) -> int:
         return self.place_batch([tx])[0]
+
+    def place_observed(self, tx, shard: int) -> int:
+        raise ConfigurationError(
+            "backend 'numpy' cannot score observed placements; the drift "
+            "shadow runs on backend=python"
+        )
 
     def place_batch(self, txs) -> list[int]:
         batch = txs if isinstance(txs, list) else list(txs)
@@ -678,26 +685,6 @@ class _ValidationDriver:
                 ("released", self.released),
                 ("behind", self.behind),
             ),
-        )
-
-    @staticmethod
-    def columns(batch) -> tuple:
-        """``(parents, indexes, in_off, n_outputs)``: the raw-outpoint
-        CSR the two kernels read for a
-        :class:`~repro.service.wire.WireBatch`, as numpy arrays - the
-        columns viewed where they lie (the wire's u64/u32 read as
-        int64/int32; the kernels range-check them) and the offsets
-        summed from ``n_inputs``. :meth:`validate` makes the same
-        arrays in its resident buffers, offsets built in C; this form
-        needs no kernel.
-        """
-        in_off = np.zeros(batch.n_txs + 1, dtype=np.int64)
-        np.cumsum(np.frombuffer(batch.n_inputs, dtype=np.uint32), out=in_off[1:])
-        return (
-            np.frombuffer(batch.parents, dtype=np.int64),
-            np.frombuffer(batch.indexes, dtype=np.int32),
-            in_off,
-            np.frombuffer(batch.n_outputs, dtype=np.int32),
         )
 
     def validate(

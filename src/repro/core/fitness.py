@@ -55,31 +55,3 @@ class TemporalFitness:
             ):
                 best = shard
         return best
-
-    def best_shard_sparse(
-        self,
-        t2s_scores: Mapping[int, float],
-        l2s_scores: Sequence[float],
-    ) -> int:
-        """:meth:`best_shard` without materializing the fitness list.
-
-        Identical decisions (same arithmetic, same tie-breaking) computed
-        in one pass; the placement hot path calls this once per
-        transaction, so the ``combine`` list would be pure allocation
-        churn.
-        """
-        weight = self.latency_weight
-        get = t2s_scores.get
-        best = 0
-        best_l2s = l2s_scores[0]
-        best_fitness = get(0, 0.0) - weight * best_l2s
-        for shard in range(1, len(l2s_scores)):
-            l2s = l2s_scores[shard]
-            fitness = get(shard, 0.0) - weight * l2s
-            if fitness > best_fitness or (
-                fitness == best_fitness and l2s < best_l2s
-            ):
-                best = shard
-                best_fitness = fitness
-                best_l2s = l2s
-        return best

@@ -22,10 +22,11 @@ all, OptChain degrades to pure T2S placement exactly as the paper's
 O(n_shards): the proxy decays lazily (one global exponent instead of
 touching every shard), and the fitness argmax only evaluates the shards
 that can win - the sparse T2S support, the input shards, and the
-lightest remaining shard (served by a lazy min-heap). The fused paths
-reproduce the naive full-scan decisions exactly; see PERFORMANCE.md for
-the argument and ``tests/core/test_golden_equivalence.py`` for the
-enforcement.
+lightest remaining shard (served by a lazy min-heap). One loop,
+:meth:`OptChainPlacer._place_loop`, makes every decision - batches,
+single transactions, shadow scoring - and reproduces the naive
+full-scan decisions exactly; see PERFORMANCE.md for the argument and
+``tests/core/test_golden_equivalence.py`` for the enforcement.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ from repro.utxo.transaction import Transaction
 #: Returns one latency model per shard; called once per placement.
 LatencyProvider = Callable[[], Sequence[ShardLatencyModel]]
 
-# Decision-path tags, resolved once per provider change instead of per
-# transaction.
-_PATH_FUSED = 0
-_PATH_T2S = 1
-_PATH_TOTALS = 2
-_PATH_GENERIC = 3
-
 
 class _ProxyDefault:
     """Sentinel type: "build a :class:`LoadProxyLatencyProvider`"."""
@@ -67,9 +61,8 @@ class _ProxyDefault:
 
 
 #: Default for ``OptChainPlacer(latency_provider=...)``: construct an
-#: offline load proxy. A sentinel (rather than the string ``"proxy"``,
-#: which is still accepted for backward compatibility) so the parameter
-#: annotation is honest and type-checks.
+#: offline load proxy. A sentinel (the string ``"proxy"`` is still
+#: accepted) so the parameter annotation is honest and type-checks.
 USE_LOAD_PROXY: Final[_ProxyDefault] = _ProxyDefault()
 
 
@@ -198,7 +191,7 @@ class LoadProxyLatencyProvider:
         if span >= self._renorm_span:
             self._renormalize()
         elif len(self._heap) > self._compact_limit:
-            self._compact()
+            self._rebuild_heaps()
 
     def expected_total_of(self, shard: int) -> float:
         """Expected confirmation total of one shard (same bits as
@@ -208,27 +201,6 @@ class LoadProxyLatencyProvider:
             return self._base_total
         return self._total_of_load(value * self._scale)
 
-    def lightest_total(self) -> float:
-        """Expected total of the globally lightest shard, O(1) amortized.
-
-        A valid lower bound on every shard's expected total (the total is
-        monotone in the load), used by the fused argmax to prune
-        candidates that cannot win.
-        """
-        scaled = self._scaled
-        zero_heap = self._zero_heap
-        while zero_heap:
-            if scaled[zero_heap[0]] == 0.0:
-                return self._base_total
-            heappop(zero_heap)
-        heap = self._heap
-        while True:
-            value, index = heap[0]
-            current = scaled[index]
-            if current == value:
-                return self._total_of_load(value * self._scale)
-            heapreplace(heap, (current, index))
-
     def lightest_excluding(
         self, exclude: "set[int] | dict"
     ) -> tuple[int, float]:
@@ -237,13 +209,10 @@ class LoadProxyLatencyProvider:
         The lightest-load shard outside ``exclude``, with ties on the
         *materialized expected total* broken toward the lower shard id -
         exactly the order a full fitness scan over the zero-T2S shards
-        would produce. Returns ``(-1, inf)`` when every shard is
-        excluded. Amortized cost is O(|exclude| * log n_shards): the
-        heaps hand back candidates in load order and long-idle shards
-        collapse into the exact-zero cohort. When the exclusion covers
-        most shards the heaps would churn, so a direct scan over the
-        complement takes over (same result, O(n_shards) but tiny
-        constants).
+        would produce; ``(-1, inf)`` when every shard is excluded.
+        Amortized O(|exclude| * log n_shards): the heaps hand back
+        candidates in load order. When the exclusion covers most shards
+        a direct scan over the complement takes over (same result).
         """
         scaled = self._scaled
         if 2 * len(exclude) >= len(scaled):
@@ -398,11 +367,8 @@ class LoadProxyLatencyProvider:
         self._scale = 1.0
         self._rebuild_heaps()
 
-    def _compact(self) -> None:
-        self._rebuild_heaps()
-
     def _rebuild_heaps(self) -> None:
-        # In-place so long-lived bindings (the fused batch loop) survive.
+        # In-place so long-lived bindings (the decision loop) survive.
         scaled = self._scaled
         self._heap[:] = [
             (value, index)
@@ -419,17 +385,18 @@ class LoadProxyLatencyProvider:
 class OptChainPlacer(PlacementStrategy):
     """Algorithm 1: Temporal-Fitness placement (T2S - 0.01 * L2S).
 
-    The decision logic is split into per-provider fast paths that all
-    reproduce the reference full-scan argmax bit-for-bit:
-
-    - offline load proxy + ``shard_load`` mode (the default): fully fused
-      O(degree) argmax over {T2S support} | {input shards} | {lightest
-      shard};
-    - a provider exposing ``expected_totals()`` (the simulator's
-      :class:`~repro.simulator.metrics.LatencyObserver`) in ``shard_load``
-      mode: one allocation-free scan, no per-shard model objects;
-    - any other provider/mode: a long-lived :class:`L2SEstimator`
-      refreshed in place each placement.
+    Every entry point runs one decision loop, :meth:`_place_loop`
+    (:meth:`place` and :meth:`place_observed` as a batch of one). It
+    picks the latency term once per batch: the offline load proxy's
+    lazy loads (the default, ``shard_load`` mode); the
+    ``expected_totals()`` of a provider that has them (the simulator's
+    :class:`~repro.simulator.metrics.LatencyObserver`, ``shard_load``
+    mode); the ``scores_all`` vector of a long-lived
+    :class:`L2SEstimator` (any other provider or mode); or none (pure
+    T2S, ties to the lightest shard by size). The argmax is the same
+    for all four: the best of {T2S support} | {input shards} | {best
+    shard outside both}, the full scan's winner under its (fitness
+    desc, l2s asc, id asc) order.
     """
 
     name = "optchain"
@@ -468,7 +435,10 @@ class OptChainPlacer(PlacementStrategy):
             self.latency_provider: LatencyProvider | None = self._proxy
         else:
             self.latency_provider = latency_provider
-        self._refresh_provider_paths()
+        if self.latency_provider is None:
+            # Pure-T2S ties break toward the lightest shard (by index,
+            # so the scalar min-size tracker is not enough).
+            self.size_argmin()
 
     def use_latency_provider(self, provider: LatencyProvider) -> None:
         """Swap in a live latency source (e.g. the simulator's observer).
@@ -478,63 +448,114 @@ class OptChainPlacer(PlacementStrategy):
         """
         self._proxy = None
         self.latency_provider = provider
-        self._refresh_provider_paths()
-
-    def _refresh_provider_paths(self) -> None:
-        provider = self.latency_provider
-        self._totals_fn = None
         if provider is None:
-            self._path = _PATH_T2S
-        elif self._proxy is not None and self.l2s_mode == "shard_load":
-            self._path = _PATH_FUSED
-        else:
-            self._path = _PATH_GENERIC
-            if self.l2s_mode == "shard_load":
-                totals_fn = getattr(provider, "expected_totals", None)
-                if callable(totals_fn):
-                    self._totals_fn = totals_fn
-                    self._path = _PATH_TOTALS
-        if provider is None:
-            # Pure-T2S ties break toward the lightest shard (by index,
-            # so the scalar min-size tracker is not enough).
             self.size_argmin()
 
-    def place_batch(self, txs) -> list[int]:
-        """Batch placement with the per-transaction overhead hoisted out.
+    def place(self, tx: Transaction) -> int:
+        """Place one transaction (a batch of one)."""
+        return self._place_loop((tx,), -1)[0]
 
-        For the default configuration (offline load proxy, ``shard_load``
-        mode) this runs one fused loop with every piece of state bound to
-        a local: the T2S recurrence, the pruned fitness argmax, and the
-        proxy update are inlined rather than dispatched per transaction.
-        Decisions and final state are identical to calling
-        :meth:`~repro.core.placement.PlacementStrategy.place` in a loop -
-        the golden equivalence tests compare both against the reference
-        implementation. Returns the shards of this batch only;
-        ``place_stream`` layers the full-assignment copy on top.
+    def place_batch(self, txs) -> list[int]:
+        """Place a batch; returns the shards of *these* transactions only
+        (``place_stream`` layers the full-assignment copy on top)."""
+        return self._place_loop(txs, -1)
+
+    def place_observed(self, tx: Transaction, shard: int) -> int:
+        """Adopt an externally decided placement, returning the shard
+        this placer *would* have chosen.
+
+        The shadow-scoring primitive behind :mod:`repro.obs.drift`: a
+        shadow placer whose history tracks production assignments
+        returns its preference as the one-step counterfactual. State
+        afterwards is identical to ``force_place(tx, shard)``.
         """
-        if (
-            self._path != _PATH_FUSED
-            or self._size_argmin is not None
-            or not self.scorer.fused_compatible
-        ):
-            # The lazy argmin (enabled by other paths) expects a bump per
-            # placement, and opt-out scorers (the adaptive cap's window
-            # accounting) need their own add_transaction_raw; the
-            # generic loop provides both.
-            return super().place_batch(txs)
-        proxy = self._proxy
+        if tx.txid != len(self._assignment):
+            raise PlacementError(
+                f"transactions must be placed in dense stream order: got "
+                f"{tx.txid}, expected {len(self._assignment)}"
+            )
+        if not 0 <= shard < self.n_shards:
+            raise PlacementError(
+                f"observed shard {shard} out of range [0, {self.n_shards})"
+            )
+        return self._place_loop((tx,), shard)[0]
+
+    def _on_forced(self, tx: Transaction, shard: int) -> None:
+        # Outpoint ids, as the decision loop reads them: a parent spent
+        # twice stores the same pruning bound on both paths.
+        self.scorer.add_transaction_raw(
+            tx.txid,
+            [outpoint.txid for outpoint in tx.inputs],
+            len(tx.outputs),
+        )
+        self.scorer.place(tx.txid, shard)
+        if self._proxy is not None:
+            self._proxy.record(shard)
+
+    # -- state export ------------------------------------------------------
+
+    def export_state(self) -> dict[str, Any]:
+        """Strategy + scorer + proxy state (a live latency observer's
+        external queues are not part of it)."""
+        state = super().export_state()
+        state["scorer"] = self.scorer.export_state()
+        if self._proxy is not None:
+            state["proxy"] = self._proxy.export_state()
+        return state
+
+    # -- the decision loop -------------------------------------------------
+
+    def _place_loop(self, txs, observed: int) -> list[int]:
+        """Algorithm 1 over ``txs`` with every piece of state bound to a
+        local: the T2S recurrence, the candidate-set fitness argmax and
+        the commit are inlined rather than dispatched per transaction.
+
+        Returns the shards placed; with ``observed >= 0`` (a batch of
+        one from :meth:`place_observed`) commits that shard and returns
+        ``[decision]``. Only shards that can win are evaluated: the T2S
+        support, the input shards, and - when nothing scored beats the
+        lightest latency term - the best shard outside both (lowest
+        latency, then lowest id); every other shard has zero T2S mass
+        and a latency term no better. ``floor`` under-estimates every
+        latency term, so a shard whose ``t2s - weight * floor`` is
+        *strictly* below the current best cannot win and is skipped.
+        """
         scorer = self.scorer
         if scorer._pending is not None:
             raise PlacementError(
                 f"transaction {scorer._pending} was added but never placed"
             )
         weight = self.fitness.latency_weight
+        n_shards = self.n_shards
+        # The latency term, chosen once per batch: the proxy's lazy
+        # loads, or a per-shard ``vec`` - observer totals or estimator
+        # scores read per transaction, zeros without a provider.
+        proxy = self._proxy
+        provider = self.latency_provider
+        mode = self.l2s_mode
+        no_latency = provider is None
+        lazy = proxy is not None and mode == "shard_load"
+        vec = [0.0] * n_shards if no_latency else None
+        totals_fn = models_fn = None
+        if not (no_latency or lazy):
+            if mode == "shard_load":
+                totals_fn = getattr(provider, "expected_totals", None)
+            if not callable(totals_fn):
+                totals_fn, models_fn = None, provider
+        read_fn = totals_fn if totals_fn is not None else models_fn
+        estimator = self._estimator
+        # Estimator scores already carry the cross-shard term.
+        cross_factor = 1.0 if models_fn is not None else 2.0
         # Strategy state.
         assignment = self._assignment
         strat_sizes = self._shard_sizes
         min_size_val = self._min_shard_size
         max_size_val = self._max_shard_size
-        # Scorer state.
+        size_argmin = self._size_argmin
+        argmin_bump = size_argmin.bump if size_argmin is not None else None
+        # Scorer state. A scorer with per-transaction bookkeeping of its
+        # own (the adaptive cap) runs its own add_transaction_raw.
+        fused = scorer.fused_compatible
         p_prime_list = scorer._p_prime
         spender_count = scorer._spender_count
         output_count = scorer._output_count
@@ -544,22 +565,21 @@ class OptChainPlacer(PlacementStrategy):
         alpha = scorer.alpha
         epsilon = scorer.prune_epsilon
         spenders_div = scorer._spenders_divisor
-        # Bounded-support scorers (the "topk" kind) declare a cap; the
-        # exact scorer's is None and the branch below compiles to one
-        # cheap test per transaction.
+        # Bounded-support scorers (the "topk" kind) declare a cap.
         support_cap = scorer.support_cap
         truncate = truncate_support
         # Proxy state (heaps are mutated in place, never rebound).
-        scaled = proxy._scaled
-        heap = proxy._heap
-        zero_heap = proxy._zero_heap
-        decay = proxy._decay
-        base_verify = proxy._base_verify
-        block = proxy._block
-        comm_expected = proxy._comm_expected
-        base_total = proxy._base_total
-        renorm_span = proxy._renorm_span
-        heap_limit = proxy._compact_limit
+        if proxy is not None:
+            scaled = proxy._scaled
+            heap = proxy._heap
+            zero_heap = proxy._zero_heap
+            decay = proxy._decay
+            base_verify = proxy._base_verify
+            block = proxy._block
+            comm_expected = proxy._comm_expected
+            base_total = proxy._base_total
+            renorm_span = proxy._renorm_span
+            heap_limit = proxy._compact_limit
         heappush_ = heappush
         heappop_ = heappop
         heapreplace_ = heapreplace
@@ -569,6 +589,7 @@ class OptChainPlacer(PlacementStrategy):
         has_eps = epsilon > 0.0
         n_placed = len(assignment)
         batch_start = n_placed
+        best_id = -1
 
         for tx in txs:
             txid = tx.txid
@@ -577,152 +598,139 @@ class OptChainPlacer(PlacementStrategy):
                     f"transactions must be placed in dense stream order: "
                     f"got {txid}, expected {n_placed}"
                 )
-            # ---- T2S recurrence (add_transaction_raw, inlined) ----
-            inputs = tx.inputs
-            raw: dict[int, float] = {}
-            if len(inputs) == 1:
-                parent = inputs[0].txid
-                # OutPoint already guarantees txid >= 0.
-                if parent >= txid:
-                    raise PlacementError(
-                        f"transaction {txid} has invalid input {parent}"
+            if read_fn is not None:
+                # Read before any state moves: a provider that raises
+                # leaves no half-scored transaction behind.
+                latest = read_fn()
+                if len(latest) != n_shards:
+                    raise ConfigurationError(
+                        f"latency provider returned {len(latest)} models "
+                        f"for {n_shards} shards"
                     )
-                input_ids: Sequence[int] = (parent,)
-                divisor = spender_count[parent] + 1
-                spender_count[parent] = divisor
-                bound = pos_inf
-                if has_scale:
-                    parent_vector = p_prime_list[parent]
-                    if parent_vector:
-                        if not spenders_div:
-                            divisor = max(output_count[parent], divisor)
-                        factor = one_minus_alpha / divisor
-                        bound = min_mass[parent] * factor
-                        if has_eps and bound <= epsilon:
-                            raw = {
-                                shard: mass
-                                for shard, r in parent_vector.items()
-                                if (mass := r * factor) > epsilon
-                            }
-                            bound = (
-                                min(raw.values()) if raw else pos_inf
-                            )
-                        else:
-                            raw = {
-                                shard: r * factor
-                                for shard, r in parent_vector.items()
-                            }
-            elif inputs:
-                # Dedup in first-appearance order, exactly what
-                # Transaction.input_txids (and the scorer) derive.
-                seen: dict[int, None] = {}
-                for outpoint in inputs:
-                    seen.setdefault(outpoint.txid, None)
-                input_ids = tuple(seen)
-                for parent in input_ids:
-                    if not 0 <= parent < txid:
+                if totals_fn is not None:
+                    vec = latest
+                elif estimator is None:
+                    estimator = L2SEstimator(latest, mode=mode)
+                    self._estimator = estimator
+                else:
+                    estimator.update(latest)
+            inputs = tx.inputs
+            if not fused:
+                input_ids: Sequence[int] = tx.input_txids
+                # Outpoint ids, as _on_forced passes them.
+                raw = scorer.add_transaction_raw(
+                    txid,
+                    [outpoint.txid for outpoint in inputs],
+                    len(tx.outputs),
+                )
+                # The commit below is inlined (scorer.place's work).
+                scorer._pending = None
+            else:
+                # ---- T2S recurrence (add_transaction_raw, inlined) ----
+                raw = {}
+                if len(inputs) == 1:
+                    parent = inputs[0].txid
+                    # OutPoint already guarantees txid >= 0.
+                    if parent >= txid:
                         raise PlacementError(
                             f"transaction {txid} has invalid input {parent}"
                         )
-                for parent in input_ids:
-                    spender_count[parent] += 1
-                bound = pos_inf
-                if has_scale:
-                    get = None
-                    for parent in input_ids:
+                    input_ids = (parent,)
+                    divisor = spender_count[parent] + 1
+                    spender_count[parent] = divisor
+                    bound = pos_inf
+                    if has_scale:
                         parent_vector = p_prime_list[parent]
-                        if not parent_vector:
-                            continue
-                        if spenders_div:
-                            divisor = spender_count[parent]
-                        else:
-                            divisor = max(
-                                output_count[parent], spender_count[parent]
+                        if parent_vector:
+                            if not spenders_div:
+                                divisor = max(output_count[parent], divisor)
+                            factor = one_minus_alpha / divisor
+                            bound = min_mass[parent] * factor
+                            if has_eps and bound <= epsilon:
+                                raw = {
+                                    shard: mass
+                                    for shard, r in parent_vector.items()
+                                    if (mass := r * factor) > epsilon
+                                }
+                                bound = (
+                                    min(raw.values()) if raw else pos_inf
+                                )
+                            else:
+                                raw = {
+                                    shard: r * factor
+                                    for shard, r in parent_vector.items()
+                                }
+                elif inputs:
+                    # Dedup in first-appearance order, exactly what
+                    # Transaction.input_txids (and the scorer) derive.
+                    seen: dict[int, None] = {}
+                    for outpoint in inputs:
+                        seen.setdefault(outpoint.txid, None)
+                    input_ids = tuple(seen)
+                    for parent in input_ids:
+                        if not 0 <= parent < txid:
+                            raise PlacementError(
+                                f"transaction {txid} has invalid input "
+                                f"{parent}"
                             )
-                        factor = one_minus_alpha / divisor
-                        if get is None:
-                            raw = {
-                                shard: mass * factor
-                                for shard, mass in parent_vector.items()
-                            }
-                            get = raw.get
-                        else:
-                            for shard, mass in parent_vector.items():
-                                raw[shard] = get(shard, 0.0) + mass * factor
-                if has_eps and raw:
-                    raw = {
-                        shard: mass
-                        for shard, mass in raw.items()
-                        if mass > epsilon
-                    }
-                if raw:
+                    for parent in input_ids:
+                        spender_count[parent] += 1
+                    bound = pos_inf
+                    if has_scale:
+                        get = None
+                        for parent in input_ids:
+                            parent_vector = p_prime_list[parent]
+                            if not parent_vector:
+                                continue
+                            if spenders_div:
+                                divisor = spender_count[parent]
+                            else:
+                                divisor = max(
+                                    output_count[parent],
+                                    spender_count[parent],
+                                )
+                            factor = one_minus_alpha / divisor
+                            if get is None:
+                                raw = {
+                                    shard: mass * factor
+                                    for shard, mass in parent_vector.items()
+                                }
+                                get = raw.get
+                            else:
+                                for shard, mass in parent_vector.items():
+                                    raw[shard] = (
+                                        get(shard, 0.0) + mass * factor
+                                    )
+                    if has_eps and raw:
+                        raw = {
+                            shard: mass
+                            for shard, mass in raw.items()
+                            if mass > epsilon
+                        }
+                    if raw:
+                        bound = min(raw.values())
+                else:
+                    input_ids = ()
+                    bound = pos_inf
+                if support_cap is not None and len(raw) > support_cap:
+                    # Same helper, same accounting order as
+                    # TopKT2SScorer.add_transaction_raw.
+                    raw, dropped = truncate(raw, support_cap)
                     bound = min(raw.values())
-            else:
-                input_ids = ()
-                bound = pos_inf
-            if support_cap is not None and len(raw) > support_cap:
-                # Same helper, same accounting order as the unfused
-                # TopKT2SScorer.add_transaction_raw - the golden tests
-                # compare both paths placement-for-placement.
-                raw, dropped = truncate(raw, support_cap)
-                bound = min(raw.values())
-                scorer._dropped_mass += dropped
-                scorer._truncated_vectors += 1
-            p_prime_list.append(raw)
-            min_mass.append(bound)
-            spender_count.append(0)
-            if not spenders_div:
-                n_outputs = len(tx.outputs)
-                output_count.append(n_outputs if n_outputs > 1 else 1)
+                    scorer._dropped_mass += dropped
+                    scorer._truncated_vectors += 1
+                p_prime_list.append(raw)
+                min_mass.append(bound)
+                spender_count.append(0)
+                if not spenders_div:
+                    n_outputs = len(tx.outputs)
+                    output_count.append(n_outputs if n_outputs > 1 else 1)
 
-            # ---- fused fitness argmax (see _fused_choose) ----
-            floor_total = -1.0
-            while zero_heap:
-                if scaled[zero_heap[0]] == 0.0:
-                    floor_total = base_total
-                    break
-                heappop_(zero_heap)
-            if floor_total < 0.0:
-                while True:
-                    value, index = heap[0]
-                    current = scaled[index]
-                    if current == value:
-                        verify = base_verify * (
-                            1.0 + value * proxy._scale / block
-                        )
-                        floor_total = comm_expected + 1.0 / (1.0 / verify)
-                        break
-                    heapreplace_(heap, (current, index))
-            best_id = -1
-            best_fitness = neg_inf
-            best_l2s = pos_inf
-            raw_get = raw.get
-            pscale = proxy._scale
+            # ---- input shards and the latency floor ----
             if input_ids:
-                has_inputs = True
-                cross_floor = floor_total * 2.0
                 if len(input_ids) == 1:
-                    # Single input shard, no set or inner loop: evaluate
-                    # it directly (it is almost always the winner).
                     only_input = assignment[input_ids[0]]
                     input_shards: "set[int] | tuple" = (only_input,)
-                    shard = only_input
-                    value = scaled[shard]
-                    if value == 0.0:
-                        total = base_total
-                    else:
-                        verify = base_verify * (1.0 + value * pscale / block)
-                        total = comm_expected + 1.0 / (1.0 / verify)
-                    l2s = total
-                    mass_in = raw_get(shard)
-                    if mass_in is None:
-                        best_fitness = 0.0 - weight * l2s
-                    else:
-                        # The input shard holds at least its parent, so
-                        # sizes[shard] >= 1: no max(1, .) needed.
-                        best_fitness = mass_in / sizes[shard] - weight * l2s
-                    best_id = shard
-                    best_l2s = l2s
                 else:
                     input_shards = {
                         assignment[parent] for parent in input_ids
@@ -731,7 +739,93 @@ class OptChainPlacer(PlacementStrategy):
                         (only_input,) = input_shards
                     else:
                         only_input = -1
-                    for shard in input_shards:
+                cross = cross_factor
+            else:
+                input_shards = ()
+                only_input = -1
+                cross = 1.0
+            if not lazy:
+                if models_fn is not None:
+                    vec = estimator.scores_all(input_shards)
+                floor_total = min(vec)
+            else:
+                # The lightest shard's total lower-bounds every shard's
+                # (monotone in load): the zero cohort first, then the
+                # lazy heap's live minimum.
+                pscale = proxy._scale
+                floor_total = -1.0
+                while zero_heap:
+                    if scaled[zero_heap[0]] == 0.0:
+                        floor_total = base_total
+                        break
+                    heappop_(zero_heap)
+                if floor_total < 0.0:
+                    while True:
+                        value, index = heap[0]
+                        current = scaled[index]
+                        if current == value:
+                            verify = base_verify * (
+                                1.0 + value * pscale / block
+                            )
+                            floor_total = comm_expected + 1.0 / (
+                                1.0 / verify
+                            )
+                            break
+                        heapreplace_(heap, (current, index))
+            weighted_cross_floor = weight * (floor_total * cross)
+            raw_get = raw.get
+
+            # ---- candidate-set fitness argmax ----
+            if no_latency:
+                # The seed's pure-T2S scan starts at the lightest shard
+                # by size and only a strictly better score replaces it:
+                # an l2s of -inf makes it win every fitness tie.
+                _, best_id = size_argmin.peek()
+                mass = raw_get(best_id)
+                size = sizes[best_id]
+                best_fitness = (
+                    0.0 if mass is None else mass / (size if size > 0 else 1)
+                )
+                best_l2s = neg_inf
+            else:
+                # An id above every shard: the first shard evaluated
+                # replaces it even on a full (-inf, inf) tie.
+                best_id = n_shards
+                best_fitness = neg_inf
+                best_l2s = pos_inf
+            # Input shards first (they hold the parents, so sizes >= 1):
+            # T2S mass concentrates there, which seeds a near-final best
+            # and lets the mass threshold below skip almost everything.
+            if only_input >= 0:
+                # One input shard, no loop: the common case.
+                if not lazy:
+                    total = vec[only_input]
+                else:
+                    value = scaled[only_input]
+                    if value == 0.0:
+                        total = base_total
+                    else:
+                        verify = base_verify * (1.0 + value * pscale / block)
+                        total = comm_expected + 1.0 / (1.0 / verify)
+                mass = raw_get(only_input)
+                fitness = (
+                    0.0 if mass is None else mass / sizes[only_input]
+                ) - weight * total
+                if fitness > best_fitness or (
+                    fitness == best_fitness
+                    and (
+                        total < best_l2s
+                        or (total == best_l2s and only_input < best_id)
+                    )
+                ):
+                    best_id = only_input
+                    best_fitness = fitness
+                    best_l2s = total
+            else:
+                for shard in input_shards:
+                    if not lazy:
+                        total = vec[shard]
+                    else:
                         value = scaled[shard]
                         if value == 0.0:
                             total = base_total
@@ -740,58 +834,36 @@ class OptChainPlacer(PlacementStrategy):
                                 1.0 + value * pscale / block
                             )
                             total = comm_expected + 1.0 / (1.0 / verify)
-                        l2s = (
-                            total * 1.0
-                            if shard == only_input
-                            else total * 2.0
+                    l2s = total * cross
+                    mass = raw_get(shard)
+                    if mass is None:
+                        fitness = 0.0 - weight * l2s
+                    else:
+                        fitness = mass / sizes[shard] - weight * l2s
+                    if fitness > best_fitness or (
+                        fitness == best_fitness
+                        and (
+                            l2s < best_l2s
+                            or (l2s == best_l2s and shard < best_id)
                         )
-                        mass = raw_get(shard)
-                        if mass is None:
-                            fitness = 0.0 - weight * l2s
-                        else:
-                            fitness = mass / sizes[shard] - weight * l2s
-                        if (
-                            fitness > best_fitness
-                            or (
-                                fitness == best_fitness
-                                and (
-                                    l2s < best_l2s
-                                    or (
-                                        l2s == best_l2s
-                                        and shard < best_id
-                                    )
-                                )
-                            )
-                        ):
-                            best_id = shard
-                            best_fitness = fitness
-                            best_l2s = l2s
-            else:
-                input_shards = ()
-                has_inputs = False
-                only_input = -1
-                cross_floor = floor_total
-            weighted_cross_floor = weight * cross_floor
+                    ):
+                        best_id = shard
+                        best_fitness = fitness
+                        best_l2s = l2s
             min_size = min_size_val if min_size_val > 0 else 1
-            # One C-level max() plus one divide decide whether any shard
-            # can possibly beat the current best: max_mass/min_size
-            # over-estimates every shard's T2S score and the floor
-            # under-estimates every latency term, so a failed gate means
-            # no shard in the support can win (exact - both bounds are
-            # monotone in rounded arithmetic). The common case once the
-            # input shard dominates: no scan at all.
+            # max_mass/min_size over-estimates every shard's T2S score:
+            # one C-level max() decides whether any support shard can
+            # beat the best (usually not once the input shard leads).
             if raw and (
                 max(raw.values()) / min_size - weighted_cross_floor
                 >= best_fitness
             ):
+                # Pre-filter: a mass below this threshold cannot reach
+                # best_fitness even at the floor latency; the margin
+                # dwarfs any rounding, so borderline masses fall through
+                # to the exact test.
                 margin = 1e-6 * (
-                    (
-                        best_fitness
-                        if best_fitness >= 0.0
-                        else -best_fitness
-                    )
-                    + weighted_cross_floor
-                    + 1.0
+                    abs(best_fitness) + weighted_cross_floor + 1.0
                 )
                 threshold = (
                     best_fitness + weighted_cross_floor - margin
@@ -799,28 +871,30 @@ class OptChainPlacer(PlacementStrategy):
                 for shard, mass in raw.items():
                     if mass < threshold or shard == only_input:
                         continue
-                    if only_input < 0 and has_inputs and shard in input_shards:
+                    if only_input < 0 and shard in input_shards:
                         continue
                     size = sizes[shard]
                     t2s = mass / (size if size > 0 else 1)
                     if t2s - weighted_cross_floor < best_fitness:
                         continue
-                    value = scaled[shard]
-                    if value == 0.0:
-                        total = base_total
+                    if not lazy:
+                        total = vec[shard]
                     else:
-                        verify = base_verify * (1.0 + value * pscale / block)
-                        total = comm_expected + 1.0 / (1.0 / verify)
-                    l2s = total * 2.0 if has_inputs else total
-                    fitness = t2s - weight * l2s
-                    if (
-                        fitness > best_fitness
-                        or (
-                            fitness == best_fitness
-                            and (
-                                l2s < best_l2s
-                                or (l2s == best_l2s and shard < best_id)
+                        value = scaled[shard]
+                        if value == 0.0:
+                            total = base_total
+                        else:
+                            verify = base_verify * (
+                                1.0 + value * pscale / block
                             )
+                            total = comm_expected + 1.0 / (1.0 / verify)
+                    l2s = total * cross
+                    fitness = t2s - weight * l2s
+                    if fitness > best_fitness or (
+                        fitness == best_fitness
+                        and (
+                            l2s < best_l2s
+                            or (l2s == best_l2s and shard < best_id)
                         )
                     ):
                         best_id = shard
@@ -832,29 +906,28 @@ class OptChainPlacer(PlacementStrategy):
                         threshold = (
                             best_fitness + weighted_cross_floor - margin
                         ) * min_size
-            if 0.0 - weighted_cross_floor >= best_fitness:
+            # The best untouched shard can only win when nothing scored
+            # beats the lightest latency term (never without a term: the
+            # lightest shard by size holds every zero-score tie).
+            if 0.0 - weighted_cross_floor >= best_fitness and not no_latency:
                 candidates = set(raw)
                 candidates.update(input_shards)
-                spill_id, spill_total = proxy.lightest_excluding(candidates)
+                if lazy:
+                    spill_id, total = proxy.lightest_excluding(candidates)
+                else:
+                    spill_id, total = _lightest_outside(vec, candidates)
                 if spill_id >= 0:
-                    l2s = (
-                        spill_total
-                        if not has_inputs
-                        else spill_total * 2.0
-                    )
+                    l2s = total * cross
                     fitness = 0.0 - weight * l2s
-                    if (
-                        fitness > best_fitness
-                        or (
-                            fitness == best_fitness
-                            and (
-                                l2s < best_l2s
-                                or (l2s == best_l2s and spill_id < best_id)
-                            )
+                    if fitness > best_fitness or (
+                        fitness == best_fitness
+                        and (
+                            l2s < best_l2s
+                            or (l2s == best_l2s and spill_id < best_id)
                         )
                     ):
                         best_id = spill_id
-            shard = best_id
+            shard = best_id if observed < 0 else observed
 
             # ---- commit (scorer.place + bookkeeping + proxy.record) ----
             raw[shard] = new_mass = raw.get(shard, 0.0) + alpha
@@ -877,383 +950,44 @@ class OptChainPlacer(PlacementStrategy):
                     self._min_shard_size = min_size_val
                     count = strat_sizes.count(min_size_val)
                 self._min_size_count = count
-            step = proxy._step + 1
-            proxy._step = step
-            span = step - proxy._offset
-            pscale = decay ** span
-            proxy._scale = pscale
-            old_value = scaled[shard]
-            value = old_value + 1.0 / pscale
-            scaled[shard] = value
-            if old_value == 0.0:
-                heappush_(heap, (value, shard))
-            if span >= renorm_span:
-                proxy._renormalize()
-            elif len(heap) > heap_limit:
-                proxy._compact()
+            if argmin_bump is not None:
+                argmin_bump(shard)
+            if proxy is not None:
+                step = proxy._step + 1
+                proxy._step = step
+                span = step - proxy._offset
+                pscale = decay ** span
+                proxy._scale = pscale
+                old_value = scaled[shard]
+                value = old_value + 1.0 / pscale
+                scaled[shard] = value
+                if old_value == 0.0:
+                    heappush_(heap, (value, shard))
+                if span >= renorm_span:
+                    proxy._renormalize()
+                elif len(heap) > heap_limit:
+                    proxy._rebuild_heaps()
+        if observed >= 0:
+            return [best_id]
         return assignment[batch_start:]
 
-    def _decide(self, tx: Transaction) -> int:
-        """Score ``tx`` and pick its shard, leaving the decision
-        uncommitted (``scorer.place`` pending)."""
-        scorer = self.scorer
-        txid = tx.txid
-        inputs = tx.inputs
-        # One outpoint needs no dedup pass; input_txids builds a dict
-        # and a tuple per call, which is measurable at this rate.
-        if len(inputs) == 1:
-            input_ids: Sequence[int] = (inputs[0].txid,)
-        elif inputs:
-            input_ids = tx.input_txids
-        else:
-            input_ids = ()
-        raw = scorer.add_transaction_raw(txid, input_ids, len(tx.outputs))
-        path = self._path
-        if path == _PATH_FUSED:
-            return self._fused_choose(input_ids, raw, self._proxy)
-        if path == _PATH_T2S:
-            # No observable shards: fitness reduces to T2S with
-            # lightest-shard tie-breaking.
-            return self._t2s_argmax(raw)
-        if path == _PATH_TOTALS:
-            return self._scan_totals_choose(input_ids, raw, self._totals_fn())
-        return self._generic_choose(tx, txid)
 
-    def _choose(self, tx: Transaction) -> int:
-        shard = self._decide(tx)
-        self.scorer.place(tx.txid, shard)
-        if self._proxy is not None:
-            self._proxy.record(shard)
-        return shard
-
-    def place_observed(self, tx: Transaction, shard: int) -> int:
-        """Adopt an externally decided placement, returning the shard
-        this placer *would* have chosen.
-
-        The shadow-scoring primitive behind :mod:`repro.obs.drift`: the
-        drift monitor keeps an exact-path shadow placer whose history
-        tracks production assignments (so both policies are compared
-        against the same past), and uses the returned preference as the
-        one-step counterfactual. State afterwards is identical to
-        ``force_place(tx, shard)``.
-        """
-        if tx.txid != len(self._assignment):
-            raise PlacementError(
-                f"transactions must be placed in dense stream order: got "
-                f"{tx.txid}, expected {len(self._assignment)}"
-            )
-        if not 0 <= shard < self.n_shards:
-            raise PlacementError(
-                f"observed shard {shard} out of range [0, {self.n_shards})"
-            )
-        preferred = self._decide(tx)
-        self.scorer.place(tx.txid, shard)
-        if self._proxy is not None:
-            self._proxy.record(shard)
-        self._assignment.append(shard)
-        self._bump_shard_size(shard)
-        return preferred
-
-    def _on_forced(self, tx: Transaction, shard: int) -> None:
-        self.scorer.add_transaction_raw(
-            tx.txid, tx.input_txids, len(tx.outputs)
-        )
-        self.scorer.place(tx.txid, shard)
-        if self._proxy is not None:
-            self._proxy.record(shard)
-
-    # -- state export ------------------------------------------------------
-
-    def export_state(self) -> dict[str, Any]:
-        """Strategy + scorer + proxy state (a live latency observer's
-        external queues are not part of it)."""
-        state = super().export_state()
-        state["scorer"] = self.scorer.export_state()
-        if self._proxy is not None:
-            state["proxy"] = self._proxy.export_state()
-        return state
-
-    # -- decision paths ----------------------------------------------------
-
-    def _fused_choose(
-        self,
-        input_ids: Sequence[int],
-        raw: dict[int, float],
-        proxy: LoadProxyLatencyProvider,
-    ) -> int:
-        """O(degree) fused T2S/L2S argmax against the load proxy.
-
-        Only shards that can win are evaluated: the sparse T2S support,
-        the input shards, and (when nothing scored can beat an idle
-        shard's latency term) the lightest remaining shard from the
-        proxy's lazy heap. Every skipped shard has zero T2S mass and a
-        worse - or tied-with-higher-id - latency term than an evaluated
-        one, so the reference full scan could not pick it either. Two
-        exact pruning bounds keep the loop short: ``expected_total`` is
-        monotone (non-strictly) in the load, so ``t2s(j) -
-        weight * (factor * base_total)`` over-estimates shard ``j``'s
-        fitness, and a shard whose over-estimate is *strictly* below the
-        current best cannot win under any tie-breaking.
-        """
-        assignment = self._assignment
-        weight = self.fitness.latency_weight
-        sizes = self.scorer._shard_sizes
-        # Proxy internals, bound once: materializing one shard's load is
-        # a multiply, and its expected total a handful of flops.
-        scaled = proxy._scaled
-        scale = proxy._scale
-        base_verify = proxy._base_verify
-        block = proxy._block
-        comm_expected = proxy._comm_expected
-        base_total = proxy._base_total
-
-        # The lightest shard's total lower-bounds every shard's total
-        # (monotone in load), giving the tightest exact pruning floor.
-        # Inlined proxy.lightest_total(): the zero-cohort peek is the
-        # common case while any shard is idle.
-        zero_heap = proxy._zero_heap
-        floor_total = -1.0
-        while zero_heap:
-            if scaled[zero_heap[0]] == 0.0:
-                floor_total = base_total
-                break
-            heappop(zero_heap)
-        if floor_total < 0.0:
-            heap = proxy._heap
-            while True:
-                value, index = heap[0]
-                current = scaled[index]
-                if current == value:
-                    verify = base_verify * (1.0 + value * scale / block)
-                    floor_total = comm_expected + 1.0 / (1.0 / verify)
-                    break
-                heapreplace(heap, (current, index))
-        best_id = -1
-        best_fitness = -math.inf
-        best_l2s = math.inf
-        raw_get = raw.get
-        if input_ids:
-            input_shards = {assignment[parent] for parent in input_ids}
-            has_inputs = True
-            cross_floor = floor_total * 2.0
-            if len(input_shards) == 1:
-                (only_input,) = input_shards
-            else:
-                only_input = -1
-            # Input shards first: T2S mass concentrates on the parents'
-            # shards, so this seeds a near-final best and the mass
-            # threshold below then skips almost everything else with a
-            # single float compare.
-            for shard in input_shards:
-                value = scaled[shard]
-                if value == 0.0:
-                    total = base_total
-                else:
-                    verify = base_verify * (1.0 + value * scale / block)
-                    total = comm_expected + 1.0 / (1.0 / verify)
-                l2s = total * 1.0 if shard == only_input else total * 2.0
-                mass = raw_get(shard)
-                if mass is None:
-                    fitness = 0.0 - weight * l2s
-                else:
-                    size = sizes[shard]
-                    fitness = mass / (size if size > 0 else 1) - weight * l2s
-                if (
-                    fitness > best_fitness
-                    or (
-                        fitness == best_fitness
-                        and (
-                            l2s < best_l2s
-                            or (l2s == best_l2s and shard < best_id)
-                        )
-                    )
-                ):
-                    best_id = shard
-                    best_fitness = fitness
-                    best_l2s = l2s
-        else:
-            input_shards = ()
-            has_inputs = False
-            only_input = -1
-            cross_floor = floor_total
-        weighted_cross_floor = weight * cross_floor
-
-        # Cheap pre-filter: a non-input shard with raw mass below this
-        # threshold cannot reach best_fitness even with the floor
-        # latency. The margin term is an absolute slack several orders
-        # of magnitude above any accumulated rounding in the exact
-        # bound's operations, so the pre-filter can only skip shards the
-        # exact test would skip too; borderline masses fall through to
-        # the exact test.
-        min_size = self._min_shard_size
-        if min_size < 1:
-            min_size = 1
-        if raw and (
-            max(raw.values()) / min_size - weighted_cross_floor
-            >= best_fitness
-        ):
-            margin = 1e-6 * (
-                abs(best_fitness) + weighted_cross_floor + 1.0
-            )
-            threshold = (
-                best_fitness + weighted_cross_floor - margin
-            ) * min_size
-            for shard, mass in raw.items():
-                if mass < threshold or shard == only_input:
-                    continue
-                if only_input < 0 and has_inputs and shard in input_shards:
-                    continue
-                size = sizes[shard]
-                t2s = mass / (size if size > 0 else 1)
-                if t2s - weighted_cross_floor < best_fitness:
-                    continue
-                value = scaled[shard]
-                if value == 0.0:
-                    total = base_total
-                else:
-                    verify = base_verify * (1.0 + value * scale / block)
-                    total = comm_expected + 1.0 / (1.0 / verify)
-                l2s = total * 2.0 if has_inputs else total
-                fitness = t2s - weight * l2s
-                if (
-                    fitness > best_fitness
-                    or (
-                        fitness == best_fitness
-                        and (
-                            l2s < best_l2s
-                            or (l2s == best_l2s and shard < best_id)
-                        )
-                    )
-                ):
-                    best_id = shard
-                    best_fitness = fitness
-                    best_l2s = l2s
-                    margin = 1e-6 * (
-                        abs(best_fitness) + weighted_cross_floor + 1.0
-                    )
-                    threshold = (
-                        best_fitness + weighted_cross_floor - margin
-                    ) * min_size
-        # The lightest untouched shard can only win when nothing scored
-        # beats the lightest shard's latency term.
-        if 0.0 - weighted_cross_floor >= best_fitness:
-            candidates = set(raw)
-            candidates.update(input_shards)
-            spill_id, spill_total = proxy.lightest_excluding(candidates)
-            if spill_id >= 0:
-                l2s = spill_total if not has_inputs else spill_total * 2.0
-                fitness = 0.0 - weight * l2s
-                if (
-                    fitness > best_fitness
-                    or (
-                        fitness == best_fitness
-                        and (
-                            l2s < best_l2s
-                            or (l2s == best_l2s and spill_id < best_id)
-                        )
-                    )
-                ):
-                    best_id = spill_id
-        return best_id
-
-    def _scan_totals_choose(
-        self,
-        input_ids: Sequence[int],
-        raw: dict[int, float],
-        totals: Sequence[float],
-    ) -> int:
-        """Allocation-free full scan over raw expected totals.
-
-        Used with live observers (``shard_load`` mode): reading every
-        shard's queue is inherently O(n_shards), so the win here is
-        skipping the per-shard model objects, estimator rebuild, and
-        fitness list of the naive path - not the scan itself.
-        """
-        n = self.n_shards
-        if len(totals) != n:
-            raise ConfigurationError(
-                f"latency provider returned {len(totals)} models for "
-                f"{n} shards"
-            )
-        assignment = self._assignment
-        input_shards = {assignment[parent] for parent in input_ids}
-        weight = self.fitness.latency_weight
-        sizes = self.scorer._shard_sizes
-        raw_get = raw.get
-        single_input = len(input_shards) == 1
-        has_inputs = bool(input_shards)
-        best_id = 0
-        best_fitness = -math.inf
-        best_l2s = math.inf
-        for shard in range(n):
-            total = totals[shard]
-            if not has_inputs:
-                l2s = total
-            elif single_input and shard in input_shards:
-                l2s = total
-            else:
-                l2s = total * 2.0
-            mass = raw_get(shard)
-            if mass is None:
-                fitness = 0.0 - weight * l2s
-            else:
-                size = sizes[shard]
-                fitness = mass / (size if size > 0 else 1) - weight * l2s
-            if fitness > best_fitness or (
-                fitness == best_fitness and l2s < best_l2s
-            ):
-                best_id = shard
-                best_fitness = fitness
-                best_l2s = l2s
-        return best_id
-
-    def _generic_choose(self, tx: Transaction, txid: int) -> int:
-        models = self.latency_provider()
-        if len(models) != self.n_shards:
-            raise ConfigurationError(
-                f"latency provider returned {len(models)} models for "
-                f"{self.n_shards} shards"
-            )
-        estimator = self._estimator
-        if estimator is None:
-            estimator = L2SEstimator(models, mode=self.l2s_mode)
-            self._estimator = estimator
-        else:
-            estimator.update(models)
-        l2s_scores = estimator.scores_all(self.input_shards(tx))
-        return self.fitness.best_shard_sparse(
-            self.scorer.normalized(txid), l2s_scores
-        )
-
-    def _t2s_argmax(self, raw: dict[int, float]) -> int:
-        """Highest normalized T2S score; default is the lightest shard.
-
-        Equivalent to scanning every shard of the dense normalized score
-        list seeded at the lightest shard, but only the sparse support
-        can beat the seed, so only it is visited (in id order, keeping
-        the first-strict-max tie-breaking of the scan).
-        """
-        sizes = self.scorer._shard_sizes
-        _, best = self.size_argmin().peek()
-        mass = raw.get(best)
-        if mass is None:
-            best_score = 0.0
-        else:
-            size = sizes[best]
-            best_score = mass / (size if size > 0 else 1)
-        for shard in sorted(raw):
-            size = sizes[shard]
-            score = raw[shard] / (size if size > 0 else 1)
-            if score > best_score:
-                best = shard
-                best_score = score
-        return best
+def _lightest_outside(values, exclude: "set[int]") -> tuple[int, float]:
+    """``(shard, value)`` of the smallest value outside ``exclude``,
+    lowest shard id among ties; ``(-1, inf)`` when all are excluded."""
+    best_id = -1
+    best = math.inf
+    for index, value in enumerate(values):
+        if (value < best or best_id < 0) and index not in exclude:
+            best_id = index
+            best = value
+    return best_id, best
 
 
 class TopKOptChainPlacer(OptChainPlacer):
     """OptChain with bounded-support (top-k) T2S scoring.
 
-    Same Temporal-Fitness decision rule, same fused hot path, but the
+    Same Temporal-Fitness decision rule, same decision loop, but the
     scorer retains only the ``support_cap`` largest-mass entries per
     vector (:class:`~repro.core.t2s.TopKT2SScorer`). On long streams
     the exact scorer's per-transaction cost grows with the shard count
@@ -1270,8 +1004,9 @@ class TopKOptChainPlacer(OptChainPlacer):
     ``support_cap`` also accepts the adaptive form ``"auto:<rate>"``:
     the cap starts at 4 and doubles (up to ``n_shards``) while the
     windowed dropped-mass rate exceeds ``<rate>`` - see
-    :class:`~repro.core.t2s.AdaptiveTopKT2SScorer`. The adaptive
-    scorer runs unfused (its window accounting is per-transaction).
+    :class:`~repro.core.t2s.AdaptiveTopKT2SScorer`, whose own
+    recurrence the loop calls per transaction (its window accounting
+    needs each vector's retained mass).
     """
 
     name = "optchain-topk"

@@ -13,7 +13,7 @@ assignment so later transactions can see their inputs' shards via
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+from abc import ABC
 from typing import Any, Iterable
 
 from repro.core._argmin import LazyArgmin
@@ -66,9 +66,16 @@ class PlacementStrategy(ABC):
 
     # -- contract ----------------------------------------------------------
 
-    @abstractmethod
     def _choose(self, tx: Transaction) -> int:
-        """Pick a shard for ``tx``; assignment recording is handled here."""
+        """Pick a shard for ``tx``; assignment recording is handled here.
+
+        The per-transaction hook of the default :meth:`place`. A strategy
+        that decides in batches (OptChain) overrides :meth:`place` and
+        :meth:`place_batch` instead.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither _choose nor place"
+        )
 
     def place(self, tx: Transaction) -> int:
         """Place one transaction; returns its shard."""

@@ -494,7 +494,7 @@ class TopKT2SScorer(T2SScorer):
     observable - a production deployment can watch saturation instead
     of discovering it as quality drift.
 
-    Why this is sound: the fused fitness argmax optimizes exactly over
+    Why this is sound: the fitness argmax optimizes exactly over
     the stored sparse scores - its pruning bounds
     (``max(raw.values()) / min_size`` from above, the lightest shard's
     latency from below) are computed from the truncated vector itself,
@@ -617,11 +617,12 @@ class AdaptiveTopKT2SScorer(TopKT2SScorer):
     while a large rate freezes the initial cap. Both are property-
     tested.
 
-    Not fused: the window accounting needs the per-transaction retained
-    mass, so this scorer runs through the unfused interface
-    (:attr:`fused_compatible` is False). That costs ~15% placement
-    throughput against the fused fixed-cap lane - the trade for not
-    shipping a mistuned cap.
+    Not inlined: the window accounting needs the per-transaction
+    retained mass, so OptChain's decision loop calls this scorer's
+    :meth:`add_transaction_raw` per transaction instead of inlining the
+    recurrence (:attr:`fused_compatible` is False). That costs about a
+    quarter more interpreted work per transaction than the fixed-cap
+    lane - the trade for not shipping a mistuned cap.
     """
 
     kind = "topk-adaptive"

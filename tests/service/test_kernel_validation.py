@@ -370,15 +370,19 @@ class TestWireBatchPlumbing:
             ), field
         assert merged.values is None and merged.addresses is None
         assert len(merged.payloads) == 3
-        # The kernel's view (in_off is built there, once per batch)
-        # agrees whichever way the columns were assembled.
-        from repro.core.backends.numpy_backend import _ValidationDriver
-
-        for got, want in zip(
-            _ValidationDriver.columns(merged), _ValidationDriver.columns(whole)
+        # The kernel's validation driver copies each column's bytes into
+        # a buffer of the same item type: the joined columns must carry
+        # those types and the bytes of the single-frame decode.
+        for field, code in (
+            ("parents", "Q"),
+            ("indexes", "I"),
+            ("n_inputs", "I"),
+            ("n_outputs", "I"),
         ):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            got = memoryview(getattr(merged, field))
+            want = memoryview(getattr(whole, field))
+            assert got.format == want.format == code, field
+            assert got.tobytes() == want.tobytes(), field
 
     def test_python_worker_serves_objects(self):
         """A python-backend worker places the same wire batches the

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import struct
+from itertools import accumulate
 
 import pytest
 
@@ -328,16 +329,22 @@ class TestDecoderAgreement:
             # Materialized as the wire's u64 ...
             assert [op.txid for op in decoded[1].inputs] == huge
         np = pytest.importorskip("numpy")
-        from repro.core.backends.numpy_backend import _ValidationDriver
 
         # ... and viewed as int64 by the kernel, which range-checks it.
-        parents, indexes, in_off, n_outputs = _ValidationDriver.columns(
-            wire.decode_place_arrays(payload)
-        )
+        batch = wire.decode_place_arrays(payload)
+        parents = np.frombuffer(batch.parents, dtype=np.int64)
         assert parents.tolist() == [p - 2**64 for p in huge]
-        assert indexes.tolist() == [3, 3, 3]
-        assert in_off.tolist() == [0, 0, 3]
-        assert n_outputs.tolist() == [1, 0]
+        assert np.frombuffer(batch.indexes, dtype=np.int32).tolist() == [
+            3,
+            3,
+            3,
+        ]
+        # The CSR offsets the kernel builds from n_inputs.
+        assert list(accumulate(batch.n_inputs, initial=0)) == [0, 0, 3]
+        assert np.frombuffer(batch.n_outputs, dtype=np.int32).tolist() == [
+            1,
+            0,
+        ]
         assert parents.dtype == np.int64
 
     @pytest.mark.parametrize("full", [False, True])
