@@ -280,22 +280,16 @@ class LoadProxyLatencyProvider:
         # collapses to base_verify exactly when the heap path would have
         # demoted the shard, so one uniform expression covers idle,
         # stale, and loaded shards alike.
-        scaled = self._scaled
         scale = self._scale
         base_verify = self._base_verify
         block = self._block
         comm_expected = self._comm_expected
-        best_id = -1
-        best_total = math.inf
-        for index, value in enumerate(scaled):
-            if index in exclude:
-                continue
-            verify = base_verify * (1.0 + value * scale / block)
-            total = comm_expected + 1.0 / (1.0 / verify)
-            if total < best_total:
-                best_total = total
-                best_id = index
-        return best_id, best_total
+        totals = [
+            comm_expected
+            + 1.0 / (1.0 / (base_verify * (1.0 + value * scale / block)))
+            for value in self._scaled
+        ]
+        return _lightest_outside(totals, exclude)
 
     def __call__(self) -> list[ShardLatencyModel]:
         models = []
@@ -972,7 +966,9 @@ class OptChainPlacer(PlacementStrategy):
         return assignment[batch_start:]
 
 
-def _lightest_outside(values, exclude: "set[int]") -> tuple[int, float]:
+def _lightest_outside(
+    values, exclude: "set[int] | dict"
+) -> tuple[int, float]:
     """``(shard, value)`` of the smallest value outside ``exclude``,
     lowest shard id among ties; ``(-1, inf)`` when all are excluded."""
     best_id = -1
