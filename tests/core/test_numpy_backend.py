@@ -393,6 +393,15 @@ class TestBackendPlumbing:
             placer.use_latency_provider(object())
 
     @requires_backend
+    def test_observed_placements_are_refused(self):
+        """Shadow scoring runs the python decision loop, whose inlined
+        commit cannot write the kernel's typed-array state."""
+        placer = make_placer("optchain", N_SHARDS, backend="numpy")
+        with pytest.raises(ConfigurationError, match="observed"):
+            placer.place_observed(_tx(0, []), 0)
+        assert placer.n_placed == 0
+
+    @requires_backend
     def test_single_place_matches_python(self):
         stream = [_tx(0, [])] + [
             _tx(i, [i - 1, i - 1, max(0, i - 3)]) for i in range(1, 30)
